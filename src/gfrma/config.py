@@ -6,7 +6,8 @@ at the boundaries.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,28 +91,22 @@ class SystemConfig:
         return dataclasses.replace(self, noise_variance=float(xi_w))
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Scalar system metrics: throughput (bits/RE) and average SNR (linear)."""
-
-    throughput: float
-    avg_snr: float
-
-
-def system_metrics(cfg: SystemConfig, active_gains) -> Metrics:
-    return Metrics(throughput(cfg), avg_snr(cfg, active_gains))
-
-
 def validate_racf(racf):
     p = np.asarray(racf.probs, dtype=float)
     if racf.d_max < 1:
         raise ConfigError("RACf d_max must be >= 1")
+    if not np.all(np.isfinite(p)):
+        raise ConfigError("RACf has a non-finite probability")
     if np.any(p < 0):
         raise ConfigError("RACf has a negative probability")
     s = p.sum()
     if abs(s - 1.0) > 1e-12:
         raise ConfigError(f"RACf sums to {s:.12g}, expected 1")
     return racf
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer))
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -121,7 +116,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"p_a = {cfg.p_a} outside (0, 1]")
     for name in ("K", "m", "T"):
         v = getattr(cfg, name)
-        if not (isinstance(v, (int, np.integer)) and v > 0):
+        if not (_is_int(v) and v > 0):
             raise ConfigError(f"{name} = {v} must be a positive integer")
     if not (0 < cfg.code_rate < 1):
         raise ConfigError(f"code_rate = {cfg.code_rate} outside (0, 1)")
@@ -130,21 +125,26 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"N non-integer: m/code_rate = {n_exact:.6g}")
     if cfg.racf.d_max > cfg.N:
         raise ConfigError(f"RACf d_max = {cfg.racf.d_max} exceeds N = {cfg.N}")
-    if cfg.prior.var <= 0:
-        raise ConfigError("channel prior variance must be > 0")
-    if cfg.noise_variance <= 0:
-        raise ConfigError("noise_variance must be > 0")
+    if not math.isfinite(cfg.prior.mean):
+        raise ConfigError("channel prior mean must be finite")
+    if not (math.isfinite(cfg.prior.var) and cfg.prior.var > 0):
+        raise ConfigError("channel prior variance must be finite and > 0")
+    if not (math.isfinite(cfg.noise_variance) and cfg.noise_variance > 0):
+        raise ConfigError("noise_variance must be finite and > 0")
     g = cfg.true_gains()
     if len(g) != cfg.K:
         raise ConfigError(f"gains has length {len(g)}, expected K = {cfg.K}")
-    if np.any(g < 0):
-        raise ConfigError("channel gains must be >= 0")
-    if cfg.max_iterations < 1:
-        raise ConfigError("max_iterations must be >= 1")
+    if not np.all(np.isfinite(g) & (g >= 0)):
+        raise ConfigError("channel gains must be finite and >= 0")
+    if not (_is_int(cfg.max_iterations) and cfg.max_iterations >= 1):
+        raise ConfigError("max_iterations must be an integer >= 1")
     if not (0 < cfg.activity_threshold < 1):
         raise ConfigError("activity_threshold must be in (0, 1)")
-    if cfg.d_v < 2:
-        raise ConfigError("d_v must be >= 2")
+    if not (_is_int(cfg.d_v) and cfg.d_v >= 2):
+        raise ConfigError("d_v must be an integer >= 2")
+    if not _is_int(cfg.system_seed):
+        raise ConfigError(f"system_seed = {cfg.system_seed!r} must be an "
+                          "integer")
     if cfg.activity_mode not in ("fixed", "bernoulli"):
         raise ConfigError(f"unknown activity_mode {cfg.activity_mode!r}")
     return cfg

@@ -13,7 +13,7 @@ tolerance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
@@ -23,6 +23,12 @@ from .config import (SystemConfig, db_to_linear, linear_to_db,
 
 _X_MAX = 60.0          # J saturates to 1 well below this
 _MI_CONVERGED = 1.0 - 1e-4
+_MAX_ITER = 1000       # DE iterations before run_de gives up
+_STALL_TOL = 1e-10     # run_de stops once no user's MI moves by more
+# Gauss-Legendre rule for the average over the estimated gain in mi_step
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# initial threshold_search bracket (dB), widened until it straddles
+_BRACKET_DB = (-10.0, 20.0)
 
 
 def j_function(x):
@@ -82,7 +88,7 @@ class _Tables:
         self._j_max = jv[keep][-1]
         iv = np.linspace(0.0, 0.9995, 500)
         self._omega = interpolate.PchipInterpolator(
-            iv, [_omega_exact(v) for v in iv])
+            iv, [omega(v) for v in iv])
 
     def j(self, x):
         if self._j is None:
@@ -105,8 +111,12 @@ class _Tables:
 _tables = _Tables()
 
 
-def _omega_exact(mi):
-    """E[tanh^2(L/2)] for L ~ N(s^2/2, s^2) with s = j_inverse(mi)."""
+def omega(mi):
+    """Residual soft-symbol power E[tanh^2(L/2)] at mutual information mi.
+
+    L ~ N(s^2/2, s^2) with s = j_inverse(mi); adaptive quadrature.
+    """
+    mi = float(mi)
     if mi <= 0.0:
         return 0.0
     s = j_inverse(mi)
@@ -118,11 +128,6 @@ def _omega_exact(mi):
     val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-10,
                             limit=200)
     return val
-
-
-def omega(mi):
-    """Residual soft-symbol power E[tanh^2(L/2)] at mutual information mi."""
-    return _omega_exact(float(mi))
 
 
 def l1(h, mean_degree, T, N, mu_h, xi_total):
@@ -209,8 +214,7 @@ def initial_de_state(cfg: SystemConfig, active_gains) -> DeState:
     return DeState(mi0, xi_h0, np.zeros(len(g)), xi_s0)
 
 
-def mi_step(state: DeState, cfg: SystemConfig, active_gains,
-            n_nodes=64) -> DeState:
+def mi_step(state: DeState, cfg: SystemConfig, active_gains) -> DeState:
     """Advance the MI recursion by one iteration.
 
     The per-user MI update averages J over the truncated Gaussian model of
@@ -222,7 +226,6 @@ def mi_step(state: DeState, cfg: SystemConfig, active_gains,
     ed = racf_mean_degree(cfg.racf)
     dc_prof = check_degree_profile(cfg.N, cfg.m, cfg.d_v)
     xi_w = cfg.noise_variance
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
 
     mi_new = np.zeros(len(g))
     mu_c2v_new = np.zeros(len(g))
@@ -238,8 +241,8 @@ def mi_step(state: DeState, cfg: SystemConfig, active_gains,
             continue
         sd = math.sqrt(xi_h)
         lo, hi = h - 8.0 * sd, h
-        mu = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        wq = 0.5 * (hi - lo) * weights
+        mu = 0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)
+        wq = 0.5 * (hi - lo) * _GL_WEIGHTS
         pdf2 = 2.0 * np.exp(-(mu - h) ** 2 / (2.0 * xi_h)) \
             / math.sqrt(2.0 * math.pi * xi_h)
         mu_l = np.maximum(l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
@@ -257,8 +260,7 @@ def mi_step(state: DeState, cfg: SystemConfig, active_gains,
                    state.iteration + 1)
 
 
-def run_de(cfg: SystemConfig, active_gains, max_iter=1000, stall_tol=1e-10,
-           trace=None):
+def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
     """Iterate the recursion; returns the final DeState.
 
     trace, if given, is a list collecting (iteration, DeState) snapshots.
@@ -271,24 +273,22 @@ def run_de(cfg: SystemConfig, active_gains, max_iter=1000, stall_tol=1e-10,
         if trace is not None:
             trace.append(new)
         done = np.all(new.mi > _MI_CONVERGED)
-        stalled = np.max(np.abs(new.mi - state.mi)) < stall_tol
+        stalled = np.max(np.abs(new.mi - state.mi)) < _STALL_TOL
         state = new
         if done or stalled:
             break
     return state
 
 
-def de_converges(cfg: SystemConfig, active_gains, gamma,
-                 max_iter=1000) -> bool:
+def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
     """True if every active user's MI reaches 1 at linear SNR gamma."""
     xi_w = noise_variance_for_snr(cfg, gamma, active_gains)
-    final = run_de(cfg.with_noise_variance(xi_w), active_gains,
-                   max_iter=max_iter)
+    final = run_de(cfg.with_noise_variance(xi_w), active_gains)
     return bool(np.all(final.mi > _MI_CONVERGED))
 
 
-def threshold_search(cfg: SystemConfig, active_gains, gamma_lo_db=-10.0,
-                     gamma_hi_db=20.0, tol_db=0.05, gamma_max_db=40.0):
+def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05,
+                     gamma_max_db=40.0):
     """Bisection for the threshold SNR (dB) above which DE converges.
 
     Returns the threshold in dB, or +inf if no success below gamma_max_db.
@@ -296,7 +296,7 @@ def threshold_search(cfg: SystemConfig, active_gains, gamma_lo_db=-10.0,
     """
     if not de_converges(cfg, active_gains, db_to_linear(gamma_max_db)):
         return float("inf")
-    lo, hi = float(gamma_lo_db), min(float(gamma_hi_db), gamma_max_db)
+    lo, hi = _BRACKET_DB[0], min(_BRACKET_DB[1], gamma_max_db)
     while de_converges(cfg, active_gains, db_to_linear(lo)):
         hi = lo
         lo -= 10.0

@@ -8,14 +8,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import de, ldpc, phy, receiver
 from .config import (SystemConfig, db_to_linear, noise_variance_for_snr,
                      validate_config)
-from .pattern import AccessGraph, build_access_graph
+from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
 CSV_HEADER = ("snr_db,trials,bler,ber,miss_rate,false_alarm_rate,"
@@ -28,17 +28,19 @@ class ExperimentSpec:
     snr_db_grid: tuple
     trials: int = 200
     mode: str = "grant-free"
-    checkpoints: tuple = ()        # optional list of RE prefixes T'
     master_seed: int = 1
-    out_path: str | None = None
     workers: int = 1
 
     def validate(self):
         validate_config(self.cfg)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.snr_db_grid:
+        for name in ("trials", "workers"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise ValueError(f"{name} = {v!r} must be an integer >= 1")
+        if len(self.snr_db_grid) == 0:
             raise ValueError("SNR grid must be non-empty")
+        if not np.all(np.isfinite(self.snr_db_grid)):
+            raise ValueError("SNR grid must be finite")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         return self
@@ -68,8 +70,7 @@ def expected_active_gains(cfg: SystemConfig):
     return cfg.true_gains()[:n_active]
 
 
-def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free",
-              t_limit=None):
+def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
     """One end-to-end trial; returns (truth, TrialOutcome)."""
     truth = phy.make_ground_truth(cfg, pc, trial_index)
     y = phy.superpose(cfg, truth, graph)
@@ -78,12 +79,7 @@ def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free",
         kwargs["known_active"] = truth.active
     if mode == "genie-csi":
         kwargs["pinned_csi"] = (truth.gains, 1e-6)
-    if t_limit is not None:
-        outcome = receiver.joint_decode_incremental(cfg, y, graph, pc,
-                                                    t_limit, **kwargs)
-    else:
-        outcome = receiver.joint_decode(cfg, y, graph, pc, **kwargs)
-    return truth, outcome
+    return truth, receiver.joint_decode(cfg, y, graph, pc, **kwargs)
 
 
 def trial_stats(cfg, truth, outcome):

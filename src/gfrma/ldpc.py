@@ -7,8 +7,9 @@ subtree so short cycles only appear when unavoidable.
 """
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,11 @@ class ParityCheck:
     @property
     def check_degrees(self):
         return [len(c) for c in self.chk_vars]
+
+    @cached_property
+    def layout(self) -> EdgeLayout:
+        """Flat edge layout for vectorized message passing, built once."""
+        return EdgeLayout.from_code(self)
 
     def h_dense(self):
         H = np.zeros((self.n_checks, self.n), dtype=np.uint8)
@@ -165,9 +171,16 @@ def bits_to_symbols(bits):
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
-def syndrome_ok(hard_bits, pc: ParityCheck) -> bool:
+def syndrome_ok(hard_bits, pc: ParityCheck):
+    """True where every check is satisfied, for hard bits of shape (..., n).
+
+    Returns a bool of shape (...): a scalar for one word, one flag per row
+    for a batch. uint8 wrap-around keeps the parity of each check sum.
+    """
     b = np.asarray(hard_bits, dtype=np.uint8)
-    return all(int(b[vs].sum()) % 2 == 0 for vs in pc.chk_vars)
+    lay = pc.layout
+    parity = np.add.reduceat(b[..., lay.edge_var], lay.chk_ptr, axis=-1) & 1
+    return ~parity.any(axis=-1)
 
 
 def cn_update(incoming):
@@ -220,29 +233,43 @@ class EdgeLayout:
     """Flat edge indexing of a ParityCheck for vectorized message passing."""
 
     edge_var: np.ndarray   # variable of each edge (sorted by check)
-    edge_chk: np.ndarray
     chk_ptr: np.ndarray    # reduceat offsets per check
 
     @classmethod
     def from_code(cls, pc: ParityCheck):
-        ev, ec, ptr = [], [], []
-        for c, vs in enumerate(pc.chk_vars):
-            ptr.append(len(ev))
-            ev.extend(vs)
-            ec.extend([c] * len(vs))
-        return cls(np.asarray(ev), np.asarray(ec), np.asarray(ptr))
+        ptr = np.cumsum([0] + pc.check_degrees[:-1])
+        return cls(np.concatenate(pc.chk_vars), ptr)
+
+
+def _sum_per_var(c2v, lay: EdgeLayout, n):
+    """Sum edge messages of shape (..., E) onto their variables: (..., n)."""
+    batch = c2v.shape[:-1]
+    rows = math.prod(batch)
+    idx = (np.arange(rows)[:, None] * n + lay.edge_var).ravel()
+    return np.bincount(idx, weights=c2v.ravel(),
+                       minlength=rows * n).reshape(*batch, n)
+
+
+def flood(Lch, c2v, pc: ParityCheck):
+    """One flooding sum-product iteration over a leading batch axis.
+
+    Lch holds channel LLRs of shape (..., n) and c2v the check-to-variable
+    messages of shape (..., E) in layout order. Returns the new c2v and the
+    posterior LLRs of shape (..., n).
+    """
+    lay = pc.layout
+    c2v_sum = _sum_per_var(c2v, lay, pc.n)
+    v2c = Lch[..., lay.edge_var] + c2v_sum[..., lay.edge_var] - c2v
+    c2v = check_messages(v2c, lay.chk_ptr)
+    return c2v, Lch + _sum_per_var(c2v, lay, pc.n)
 
 
 def bp_decode(pc: ParityCheck, channel_llrs, max_iter=50):
     """Flooding sum-product decoder; returns (hard_bits, ok, iterations)."""
-    layout = EdgeLayout.from_code(pc)
     Lch = np.asarray(channel_llrs, dtype=float)
-    c2v = np.zeros(len(layout.edge_var))
+    c2v = np.zeros(len(pc.layout.edge_var))
     for it in range(1, max_iter + 1):
-        c2v_sum = np.bincount(layout.edge_var, weights=c2v, minlength=pc.n)
-        v2c = Lch[layout.edge_var] + c2v_sum[layout.edge_var] - c2v
-        c2v = check_messages(v2c, layout.chk_ptr)
-        total = Lch + np.bincount(layout.edge_var, weights=c2v, minlength=pc.n)
+        c2v, total = flood(Lch, c2v, pc)
         hard = (total < 0).astype(np.uint8)
         if syndrome_ok(hard, pc):
             return hard, True, it

@@ -12,7 +12,7 @@ the production path and applies the same rules vectorized over all edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .pattern import AccessGraph
 
 LLR_CLAMP = ldpc.LLR_CLAMP
 Q_FLOOR = 1e-12
+# stop once no posterior LLR moves by more than this between iterations
+STALL_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,6 @@ def initial_state(cfg: SystemConfig, graph: AccessGraph, n_ldpc_edges):
 
 def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
                  pc: ldpc.ParityCheck, known_active=None, pinned_csi=None,
-                 stall_tol=1e-7, trace=None,
                  collect_states=None) -> TrialOutcome:
     """Run the full joint iteration on one received block.
 
@@ -146,8 +147,10 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     inactive are removed from the graph and actives have q pinned to 1.
     pinned_csi: (gains, variance) for the genie baseline; channel estimates
     are pinned instead of estimated.
-    trace: optional list collecting per-iteration diagnostic strings.
     collect_states: optional list collecting a BeliefState copy per iteration.
+
+    Stops when every declared user passes its syndrome, when no posterior
+    LLR moves by more than STALL_TOL, or after cfg.max_iterations.
     """
     y = np.asarray(received, dtype=float)
     if known_active is not None:
@@ -157,14 +160,15 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
                             graph.edge_user[keep], graph.edge_sym[keep],
                             graph.edge_re[keep])
 
-    layout = ldpc.EdgeLayout.from_code(pc)
     e_user = graph.edge_user
     e_re = graph.edge_re
     e_gsym = graph.edge_user * graph.N + graph.edge_sym  # global symbol id
+    # users with no edges have no evidence and keep the prior activity rate
+    has_edges = np.bincount(e_user, minlength=cfg.K) > 0
     xi_w = cfg.noise_variance
     prior = cfg.prior
 
-    state = initial_state(cfg, graph, len(layout.edge_var))
+    state = initial_state(cfg, graph, len(pc.layout.edge_var))
     if known_active is not None:
         state.q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
     if pinned_csi is not None:
@@ -172,12 +176,9 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         state.mu_h = np.asarray(gains, dtype=float).copy()
         state.xi_h = np.full(cfg.K, var)
 
-    total = np.zeros((cfg.K, pc.n))
-    prev_total = None
+    total = None
     converged = "max_iterations"
-    n_iter = 0
     for n in range(1, cfg.max_iterations + 1):
-        n_iter = n
         # (1) interference moments per edge, leave-one-out via RE aggregates
         m_soft = np.tanh(state.v2r / 2.0)
         a = state.q[e_user]
@@ -199,11 +200,8 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
                           minlength=cfg.K * pc.n).reshape(cfg.K, pc.n)
 
         # (3) one flooding LDPC iteration per user
-        c2v_sum = _sum_per_var(state.c2v, layout, cfg.K, pc.n)
-        v2c = (Lch[:, layout.edge_var] + c2v_sum[:, layout.edge_var]
-               - state.c2v)
-        state.c2v = ldpc.check_messages(v2c, layout.chk_ptr)
-        total = Lch + _sum_per_var(state.c2v, layout, cfg.K, pc.n)
+        prev_total = total
+        state.c2v, total = ldpc.flood(Lch, state.c2v, pc)
         # extrinsic symbol -> RE messages
         state.v2r = np.clip(total.reshape(-1)[e_gsym] - r2v,
                             -LLR_CLAMP, LLR_CLAMP)
@@ -220,12 +218,10 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
             state.mu_h = (WM + prior.mean / prior.var) / prec
             state.xi_h = 1.0 / prec
 
-        # (5) activity posteriors; users with no edges have no evidence and
-        # keep the prior activity rate
+        # (5) activity posteriors
         if known_active is None:
             q_new = _activity_posterior_vec(state.mu_h, state.xi_h,
                                             prior.mean, prior.var, cfg.p_a)
-            has_edges = np.bincount(e_user, minlength=cfg.K) > 0
             state.q = np.where(has_edges, q_new, state.q)
         state.iteration = n
         if collect_states is not None:
@@ -234,33 +230,24 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
                 state.mu_h.copy(), state.xi_h.copy(), state.q.copy(), n))
 
         hard = (total < 0).astype(np.uint8)
-        synd = _syndrome_vec(hard, pc)
+        synd = ldpc.syndrome_ok(hard, pc)
         declared = state.q > cfg.activity_threshold
-        if trace is not None:
-            for k in range(cfg.K):
-                trace.append(f"{n}, {k}, {state.mu_h[k]:.6g}, "
-                             f"{state.xi_h[k]:.6g}, {state.q[k]:.6g}, "
-                             f"{bool(synd[k])}")
         if declared.any() and synd[declared].all():
             converged = "all_declared_decoded"
             break
-        if stall_tol is not None and prev_total is not None:
-            if np.max(np.abs(total - prev_total)) < stall_tol:
-                converged = "stalled"
-                break
-        prev_total = total.copy()
+        if (prev_total is not None
+                and np.max(np.abs(total - prev_total)) < STALL_TOL):
+            converged = "stalled"
+            break
 
-    hard = (total < 0).astype(np.uint8)
-    synd = _syndrome_vec(hard, pc)
-    declared = state.q > cfg.activity_threshold
     return TrialOutcome(
         decoded_bits=hard[:, :pc.m],
         syndrome_pass=synd,
         declared=declared,
-        q=state.q.copy(),
-        mu_h=state.mu_h.copy(),
-        xi_h=state.xi_h.copy(),
-        iterations=n_iter,
+        q=state.q,
+        mu_h=state.mu_h,
+        xi_h=state.xi_h,
+        iterations=state.iteration,
         converged=converged,
     )
 
@@ -273,13 +260,6 @@ def joint_decode_incremental(cfg, received, graph, pc, t_limit,
                         **kwargs)
 
 
-def _sum_per_var(c2v, layout, K, n):
-    """Sum LDPC edge messages onto variables, for all users at once."""
-    flat_idx = (np.arange(K)[:, None] * n + layout.edge_var[None, :]).ravel()
-    return np.bincount(flat_idx, weights=c2v.ravel(),
-                       minlength=K * n).reshape(K, n)
-
-
 def _activity_posterior_vec(mu_h, xi_h, prior_mean, prior_var, p_a):
     if p_a >= 1.0:
         return np.full_like(mu_h, 1.0 - Q_FLOOR)
@@ -289,11 +269,3 @@ def _activity_posterior_vec(mu_h, xi_h, prior_mean, prior_var, p_a):
              - mu_h ** 2 / (2.0 * xi_h))
     q = 1.0 / (1.0 + np.exp(np.minimum(log_i - log_a, 700.0)))
     return np.clip(q, Q_FLOOR, 1.0 - Q_FLOOR)
-
-
-def _syndrome_vec(hard_bits, pc):
-    """Per-user syndrome check for a (K, n) bit matrix."""
-    ok = np.ones(hard_bits.shape[0], dtype=bool)
-    for vs in pc.chk_vars:
-        ok &= hard_bits[:, vs].sum(axis=1) % 2 == 0
-    return ok

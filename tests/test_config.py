@@ -117,6 +117,21 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_metrics():
     cfg = paper_like_config(noise_variance=0.14)
-    met = C.system_metrics(cfg, [1.0])
-    assert met.throughput == pytest.approx(0.375)
-    assert met.avg_snr == pytest.approx(1.0)
+    assert C.throughput(cfg) == pytest.approx(0.375)
+    assert C.avg_snr(cfg, [1.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("noise_variance", float("nan")),
+    ("noise_variance", float("inf")),
+    ("prior", C.ChannelPrior(1.0, float("nan"))),
+    ("prior", C.ChannelPrior(float("inf"), 10.0)),
+    ("gains", (float("nan"),) + (1.0,) * 99),
+    ("racf", C.Racf((0.9, float("nan"), 0.04))),
+    ("max_iterations", 2.5),
+    ("d_v", 2.5),
+    ("system_seed", 1.5),
+])
+def test_non_finite_or_non_integer_rejected(field, value):
+    with pytest.raises(C.ConfigError):
+        C.validate_config(paper_like_config(**{field: value}))

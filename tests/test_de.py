@@ -253,17 +253,18 @@ def test_single_user_threshold_vs_standalone_ldpc_de():
     prof = de.check_degree_profile(cfg.N, cfg.m, cfg.d_v)
     nodes, weights = np.polynomial.hermite_e.hermegauss(96)
 
+    # inverse J by interpolation in a dense table of the same quadrature,
+    # kept to its strictly increasing part
+    s_tab = np.linspace(0.0, 40.0, 40001)
+    xi = s_tab[:, None] ** 2 / 2.0 + s_tab[:, None] * nodes
+    j_tab = 1.0 - (np.logaddexp(0.0, -xi) @ weights
+                   / math.sqrt(2 * math.pi) / math.log(2.0))
+    j_tab[0] = 0.0
+    keep = j_tab > np.maximum.accumulate(np.r_[-1.0, j_tab[:-1]])
+    s_tab, j_tab = s_tab[keep], j_tab[keep]
+
     def jinv(I):
-        lo, hi = 0.0, 1.0
-        while _gh_j(hi, nodes, weights) < I:
-            hi *= 2
-        for _ in range(100):
-            mid = (lo + hi) / 2
-            if _gh_j(mid, nodes, weights) < I:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        return float(np.interp(I, j_tab, s_tab))
 
     def code_converges(mu_ch):
         mu_cv = 0.0

@@ -31,6 +31,13 @@ def test_spec_validation():
         small_spec(snr_db_grid=()).validate()
     with pytest.raises(ValueError, match="mode"):
         small_spec(mode="psychic").validate()
+    for workers in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="workers"):
+            small_spec(workers=workers).validate()
+    with pytest.raises(ValueError, match="trials"):
+        small_spec(trials=1.5).validate()
+    with pytest.raises(ValueError, match="finite"):
+        small_spec(snr_db_grid=(0.0, float("nan"))).validate()
 
 
 def test_run_trial_deterministic():

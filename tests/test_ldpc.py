@@ -72,6 +72,41 @@ def test_syndrome_random_words(pc400):
     assert hits == 0          # chance ~2^-160 per word
 
 
+def test_syndrome_batch_matches_rows(pc400):
+    rng = np.random.default_rng(11)
+    cw = L.encode(rng.integers(0, 2, pc400.m).astype(np.uint8), pc400)
+    flipped = cw.copy()
+    flipped[5] ^= 1
+    words = np.stack([cw, flipped, np.zeros(pc400.n, dtype=np.uint8),
+                      rng.integers(0, 2, pc400.n).astype(np.uint8)])
+    batch = L.syndrome_ok(words, pc400)
+    assert batch.shape == (4,)
+    assert batch.tolist() == [bool(L.syndrome_ok(w, pc400)) for w in words]
+    H = pc400.h_dense().astype(int)
+    assert batch.tolist() == [not (H @ w % 2).any() for w in words]
+    assert batch.tolist() == [True, False, True, False]
+
+
+def test_flood_batch_matches_rows(pc400):
+    rng = np.random.default_rng(12)
+    n_edges = len(pc400.layout.edge_var)
+    Lch = rng.normal(0, 3, (2, pc400.n))
+    c2v = rng.normal(0, 2, (2, n_edges))
+    c2v_b, total_b = L.flood(Lch, c2v, pc400)
+    for k in range(2):
+        c2v_k, total_k = L.flood(Lch[k], c2v[k], pc400)
+        assert np.array_equal(c2v_b[k], c2v_k)
+        assert np.array_equal(total_b[k], total_k)
+
+
+def test_layout_built_once(pc400):
+    assert pc400.layout is pc400.layout
+    lay = pc400.layout
+    assert lay.edge_var.tolist() == [v for vs in pc400.chk_vars for v in vs]
+    degs = pc400.check_degrees
+    assert lay.chk_ptr.tolist() == [sum(degs[:c]) for c in range(len(degs))]
+
+
 def test_cn_update_values():
     assert L.cn_update([0.0, 4.2]) == 0.0
     big = L.cn_update([1e9, 1e9])
