@@ -5,10 +5,12 @@ J-function (MI of a symmetric Gaussian LLR as a function of its standard
 deviation), with the channel-estimate uncertainty folded in by averaging
 the MI over a truncated Gaussian model of the estimated gain.
 
-j_function / j_inverse are the exact quadrature-backed operations; the DE
-recursion internally uses monotone-spline tables built from them once (the
-tables agree with the exact operations to ~1e-8, far below the threshold
-tolerance).
+The DE recursion reads J, J^-1 and Omega from monotone-spline tables built
+once per process (_Tables): J and Omega are evaluated on fixed grids by one
+200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the inverse
+table. j_function, j_inverse and omega are the adaptive-quadrature forms of
+the same operations, kept as the reference the tables are tested against
+(J to ~1e-8, Omega to ~1e-6, far below the threshold tolerance).
 """
 from __future__ import annotations
 
@@ -69,8 +71,31 @@ def j_inverse(mi):
                                  xtol=1e-12, rtol=1e-14))
 
 
+# Gauss-Hermite rule for the table build: E[f(u)], u ~ N(0, 1), is
+# sum(_GH_WEIGHTS * f(_GH_NODES))
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(200)
+_GH_NODES = _GH_NODES * math.sqrt(2.0)
+_GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
+
+
+def _gauss_mean(f, s):
+    """E[f(L)] for L ~ N(s^2/2, s^2), elementwise over the array s.
+
+    One Gauss-Hermite node at a time across the whole of s, so the
+    temporaries stay the size of s.
+    """
+    acc = np.zeros_like(s)
+    for u, w in zip(_GH_NODES, _GH_WEIGHTS):
+        acc += w * f(s * s / 2.0 + s * u)
+    return acc
+
+
 class _Tables:
-    """Lazily built spline tables for the DE hot path."""
+    """Lazily built spline tables for the DE hot path.
+
+    J and Omega are evaluated on fixed grids by one Gauss-Hermite rule;
+    Omega takes its s = J^-1(I) from the inverse-J table.
+    """
 
     def __init__(self):
         self._j = None
@@ -80,15 +105,17 @@ class _Tables:
     def build(self):
         x = np.concatenate([np.linspace(0.0, 12.0, 1200),
                             np.linspace(12.02, _X_MAX, 400)])
-        jv = np.array([j_function(v) for v in x])
+        jv = 1.0 - _gauss_mean(lambda v: np.logaddexp(0.0, -v), x) \
+            / math.log(2.0)
+        jv[x == 0.0] = 0.0     # exactly, as j_function(0)
         self._j = interpolate.PchipInterpolator(x, jv)
         # strictly increasing part for the inverse
         keep = np.concatenate([[True], np.diff(jv) > 1e-15])
         self._j_inv = interpolate.PchipInterpolator(jv[keep], x[keep])
         self._j_max = jv[keep][-1]
         iv = np.linspace(0.0, 0.9995, 500)
-        self._omega = interpolate.PchipInterpolator(
-            iv, [omega(v) for v in iv])
+        ov = _gauss_mean(lambda v: np.tanh(v / 2.0) ** 2, self._j_inv(iv))
+        self._omega = interpolate.PchipInterpolator(iv, ov)
 
     def j(self, x):
         if self._j is None:

@@ -5,6 +5,7 @@ results are byte-identical regardless of worker count or scheduling.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -113,21 +114,26 @@ def wilson_halfwidth(errors, n, z=1.96):
     return z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
 
 
+# per worker process: the (pc, graph, mode) shared by every point of a sweep
 _POOL_STATE = {}
 
 
-def _pool_init(cfg, pc, graph, mode):
-    _POOL_STATE["args"] = (cfg, pc, graph, mode)
+def _pool_init(pc, graph, mode):
+    _POOL_STATE["args"] = (pc, graph, mode)
 
 
-def _pool_trial(trial_index):
-    cfg, pc, graph, mode = _POOL_STATE["args"]
+def _pool_trial(cfg, trial_index):
+    pc, graph, mode = _POOL_STATE["args"]
     truth, outcome = run_trial(cfg, pc, graph, trial_index, mode)
     return trial_stats(cfg, truth, outcome) + (outcome.iterations,)
 
 
 def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
-    """Aggregate run_trial over the SNR grid."""
+    """Aggregate run_trial over the SNR grid.
+
+    With workers > 1, one pool serves the whole sweep: the code and the
+    graph reach each worker once, the per-point config with each task.
+    """
     spec.validate()
     base = dataclasses.replace(spec.cfg, system_seed=spec.master_seed)
     pc = ldpc.construct_parity_check(base.m, base.code_rate, base.d_v,
@@ -135,33 +141,37 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     graph = build_access_graph(base)
     gains = expected_active_gains(base)
     points = []
-    for snr_db in spec.snr_db_grid:
-        xi_w = noise_variance_for_snr(base, db_to_linear(snr_db), gains)
-        cfg = base.with_noise_variance(xi_w)
-        indices = range(spec.trials)
+    with contextlib.ExitStack() as stack:
+        pool = None
         if spec.workers > 1:
-            with multiprocessing.Pool(
-                    spec.workers, initializer=_pool_init,
-                    initargs=(cfg, pc, graph, spec.mode)) as pool:
-                rows = pool.map(_pool_trial, indices)
+            pool = stack.enter_context(multiprocessing.Pool(
+                spec.workers, initializer=_pool_init,
+                initargs=(pc, graph, spec.mode)))
         else:
-            _pool_init(cfg, pc, graph, spec.mode)
-            rows = [_pool_trial(i) for i in indices]
-        # deterministic reduction in trial order
-        agg = np.sum(np.asarray(rows, dtype=float), axis=0)
-        (n_active, block_err, bit_err, n_bits, misses,
-         false_alarms, n_inactive, iter_sum) = agg
-        points.append(PointResult(
-            snr_db=float(snr_db),
-            trials=spec.trials,
-            bler=block_err / n_active if n_active else float("nan"),
-            ber=bit_err / n_bits if n_bits else float("nan"),
-            miss_rate=misses / n_active if n_active else float("nan"),
-            false_alarm_rate=(false_alarms / n_inactive
-                              if n_inactive else float("nan")),
-            mean_iterations=iter_sum / spec.trials,
-            bler_ci95=wilson_halfwidth(block_err, n_active),
-        ))
+            _pool_init(pc, graph, spec.mode)
+        for snr_db in spec.snr_db_grid:
+            xi_w = noise_variance_for_snr(base, db_to_linear(snr_db), gains)
+            cfg = base.with_noise_variance(xi_w)
+            tasks = [(cfg, i) for i in range(spec.trials)]
+            if pool is not None:
+                rows = pool.starmap(_pool_trial, tasks)
+            else:
+                rows = [_pool_trial(*task) for task in tasks]
+            # deterministic reduction in trial order
+            agg = np.sum(np.asarray(rows, dtype=float), axis=0)
+            (n_active, block_err, bit_err, n_bits, misses,
+             false_alarms, n_inactive, iter_sum) = agg
+            points.append(PointResult(
+                snr_db=float(snr_db),
+                trials=spec.trials,
+                bler=block_err / n_active if n_active else float("nan"),
+                ber=bit_err / n_bits if n_bits else float("nan"),
+                miss_rate=misses / n_active if n_active else float("nan"),
+                false_alarm_rate=(false_alarms / n_inactive
+                                  if n_inactive else float("nan")),
+                mean_iterations=iter_sum / spec.trials,
+                bler_ci95=wilson_halfwidth(block_err, n_active),
+            ))
     return ExperimentResult(points)
 
 

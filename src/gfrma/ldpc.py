@@ -78,44 +78,39 @@ def _gf2_rref(H):
 
 
 def _peg_edges(n, n_checks, d_v, rng):
-    """Place n*d_v edges; returns per-variable check lists."""
+    """Place n*d_v edges; returns the (n_checks, n) bool incidence matrix.
+
+    The BFS from each variable runs on the incidence matrix with bool
+    frontier and seen masks; dist is the BFS depth of each check, n_checks
+    (deeper than any reachable check) where unreached.
+    """
+    H = np.zeros((n_checks, n), dtype=bool)
     chk_deg = np.zeros(n_checks, dtype=int)
-    chk_vars = [[] for _ in range(n_checks)]
-    var_chks = [[] for _ in range(n)]
     for v in range(n):
         for _ in range(d_v):
-            # BFS over the bipartite graph from v's current neighborhood
-            dist = np.full(n_checks, np.inf)
-            seen_v = {v}
-            frontier = list(var_chks[v])
+            own = H[:, v].copy()
+            dist = np.where(own, 0, n_checks)
+            reached = own.copy()
+            frontier = own
+            seen_v = np.zeros(n, dtype=bool)
+            seen_v[v] = True
             depth = 0
-            for c in frontier:
-                dist[c] = depth
-            while frontier:
+            while frontier.any():
                 depth += 1
-                nxt = set()
-                for c in frontier:
-                    for v2 in chk_vars[c]:
-                        if v2 not in seen_v:
-                            seen_v.add(v2)
-                            for c2 in var_chks[v2]:
-                                if not np.isfinite(dist[c2]):
-                                    nxt.add(c2)
-                for c2 in nxt:
-                    dist[c2] = depth
-                frontier = list(nxt)
+                new_v = H[frontier].any(axis=0) & ~seen_v
+                seen_v |= new_v
+                frontier = H[:, new_v].any(axis=1) & ~reached
+                reached |= frontier
+                dist[frontier] = depth
             # uniformity first: only checks at the global minimum degree,
             # excluding ones already wired to v
-            cand = np.flatnonzero(chk_deg == chk_deg[
-                np.setdiff1d(np.arange(n_checks), var_chks[v])].min())
-            cand = np.setdiff1d(cand, var_chks[v])
-            # then distance: prefer unreached (inf), else deepest
+            cand = np.flatnonzero((chk_deg == chk_deg[~own].min()) & ~own)
+            # then distance: prefer unreached, else deepest
             far = cand[dist[cand] == dist[cand].max()]
             c = int(far[rng.integers(len(far))])
             chk_deg[c] += 1
-            chk_vars[c].append(v)
-            var_chks[v].append(c)
-    return chk_vars, var_chks
+            H[c, v] = True
+    return H
 
 
 def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
@@ -132,10 +127,7 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
     if d_v < 2 or d_v > n_checks:
         raise ValueError(f"infeasible variable degree d_v = {d_v}")
     rng = np.random.default_rng(seed)
-    chk_vars, var_chks = _peg_edges(n, n_checks, d_v, rng)
-    H = np.zeros((n_checks, n), dtype=np.uint8)
-    for c, vs in enumerate(chk_vars):
-        H[c, vs] = 1
+    H = _peg_edges(n, n_checks, d_v, rng).astype(np.uint8)
     # permute columns so free variables come first (info positions), pivot
     # variables last (parity); rank deficiency just widens the free block,
     # whose surplus positions the encoder pins to 0.
@@ -146,14 +138,10 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
     # pivot expressions over the first m (info) free columns
     enc = R[:rank][:, free_cols[:m]].astype(np.uint8)
     n_pinned = n - rank - m
-    inv_pos = np.empty(n, dtype=int)
-    inv_pos[perm] = np.arange(n)
-    chk_vars2 = [sorted(int(inv_pos[v]) for v in vs) for vs in chk_vars]
-    var_chks2 = [[] for _ in range(n)]
-    for c, vs in enumerate(chk_vars2):
-        for v in vs:
-            var_chks2[v].append(c)
-    return ParityCheck(n, m, d_v, chk_vars2, var_chks2, seed, enc, n_pinned)
+    Hp = H[:, perm]
+    chk_vars = [np.flatnonzero(row).tolist() for row in Hp]
+    var_chks = [np.flatnonzero(col).tolist() for col in Hp.T]
+    return ParityCheck(n, m, d_v, chk_vars, var_chks, seed, enc, n_pinned)
 
 
 def encode(info_bits, pc: ParityCheck):

@@ -13,13 +13,17 @@ import numpy as np
 from .config import SystemConfig, racf_mean_degree
 
 _MASK = (1 << 64) - 1
+# SplitMix64 increment and multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(z: int) -> int:
     """SplitMix64 finalizer: a 64-bit avalanche mixer."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = (z + _GOLDEN) & _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -121,22 +125,82 @@ class AccessGraph:
                            self.edge_re[sel])
 
 
+# draws generated per block of users in build_access_graph; bounds the
+# size of the temporaries at large T
+_BLOCK_DRAWS = 1 << 16
+
+
+def _splitmix64_array(z):
+    """splitmix64 over a uint64 array, in place (wrapping); returns z."""
+    z += np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _u01_array(stream, counter):
+    """_u01 over a uint64 array of streams."""
+    return _splitmix64_array(stream + np.uint64(counter)) / 2.0**64
+
+
+def _draw_block(seed_hash, users, T, racf, N):
+    """derive_draw for every (user, re) of a user block, as edge arrays.
+
+    Edges come out ordered by user, then RE, then pick, as the scalar loop
+    emits them.
+    """
+    h_user = _splitmix64_array(np.uint64(seed_hash)
+                               ^ users.astype(np.uint64))
+    stream = _splitmix64_array(
+        (h_user[:, None] ^ np.arange(T, dtype=np.uint64)[None, :]).ravel())
+    # first d with u < acc, acc the running sum of probs, as in derive_draw
+    degree = np.searchsorted(np.cumsum(racf.probs), _u01_array(stream, 0),
+                             side="right")
+    degree = np.minimum(degree, min(racf.d_max, N))
+    rows = np.flatnonzero(degree)
+    stream, degree = stream[rows], degree[rows]
+    # partial Fisher-Yates, round i over the rows still drawing; the
+    # replacement dict is a key and a value column per round, and a later
+    # write to a key shadows the earlier ones
+    width = int(degree.max(initial=0))
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    keys = np.full((len(rows), width), -1, dtype=np.int64)
+    vals = np.zeros((len(rows), width), dtype=np.int64)
+
+    def lookup(sel, key, i):
+        found = key.copy()
+        for j in range(i):
+            hit = keys[sel, j] == key
+            found[hit] = vals[sel, j][hit]
+        return found
+
+    for i in range(width):
+        sel = np.flatnonzero(degree > i)
+        r = i + (_u01_array(stream[sel], 1 + i) * (N - i)).astype(np.int64)
+        out[sel, i] = lookup(sel, r, i)
+        vals[sel, i] = lookup(sel, np.full(len(sel), i, dtype=np.int64), i)
+        keys[sel, i] = r
+    picked = np.arange(width) < degree[:, None]
+    return (np.repeat(users[rows // T], degree), out[picked],
+            np.repeat(rows % T, degree))
+
+
 def build_access_graph(cfg: SystemConfig) -> AccessGraph:
-    """Materialize every user's pattern over all T REs into one edge list."""
-    users, syms, res = [], [], []
-    for k in range(cfg.K):
-        for t in range(cfg.T):
-            draw = derive_draw(cfg.system_seed, k, t, cfg.racf, cfg.N)
-            for j in draw.symbols:
-                users.append(k)
-                syms.append(j)
-                res.append(t)
-    return AccessGraph(
-        cfg.K, cfg.N, cfg.T,
-        np.asarray(users, dtype=np.int64),
-        np.asarray(syms, dtype=np.int64),
-        np.asarray(res, dtype=np.int64),
-    )
+    """Materialize every user's pattern over all T REs into one edge list.
+
+    Array form of derive_draw over every (user, re), edge for edge the
+    same; users are drawn in blocks of about _BLOCK_DRAWS draws.
+    """
+    seed_hash = splitmix64(int(cfg.system_seed) & _MASK)
+    step = max(1, _BLOCK_DRAWS // cfg.T)
+    parts = [_draw_block(seed_hash, np.arange(k, min(k + step, cfg.K)),
+                         cfg.T, cfg.racf, cfg.N)
+             for k in range(0, cfg.K, step)]
+    users, syms, res = (np.concatenate(col) for col in zip(*parts))
+    return AccessGraph(cfg.K, cfg.N, cfg.T, users, syms, res)
 
 
 def expected_edges_per_user(cfg: SystemConfig) -> float:

@@ -66,6 +66,18 @@ def test_omega_sampling_oracle():
     assert abs(de.omega(0.5) - samples.mean()) < 3 * sem
 
 
+def test_tables_match_quadrature():
+    # the Gauss-Hermite spline tables against the adaptive-quadrature forms
+    for x in [0.0, 0.01, 0.1, 0.3, 0.5, 1.0, 1.7, 2.0, 3.3, 5.0, 7.7, 10.0,
+              11.99, 12.01, 15.0, 20.0, 25.0, 33.0, 40.0, 59.9]:
+        assert abs(de._tables.j(x) - de.j_function(x)) < 1e-7
+    for mi in [0.0, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
+               0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9993, 0.9994]:
+        assert abs(de._tables.omega(mi) - de.omega(mi)) < 1e-6
+    for x in [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 9.5]:
+        assert de._tables.j_inv(de._tables.j(x)) == pytest.approx(x, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # recursion building blocks
 

@@ -126,7 +126,8 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
 
 
 def test_workers_do_not_change_results(tmp_path):
-    spec1 = small_spec(trials=8, snr_db_grid=(0.0,))
+    # two points: each point's config must reach the pool's workers
+    spec1 = small_spec(trials=8, snr_db_grid=(-4.0, 4.0))
     spec2 = dataclasses.replace(spec1, workers=2)
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
     H.snr_sweep_report(H.monte_carlo(spec1), a)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,63 @@ def test_alist_round_trip(pc400, tmp_path):
     chk_vars, var_chks = L.read_alist(path)
     assert chk_vars == pc400.chk_vars
     assert var_chks == pc400.var_chks
+
+
+def _scalar_peg(n, n_checks, d_v, rng):
+    """Set-based BFS form of the PEG placement: the reference for
+    L._peg_edges. Returns per-check variable lists."""
+    chk_deg = np.zeros(n_checks, dtype=int)
+    chk_vars = [[] for _ in range(n_checks)]
+    var_chks = [[] for _ in range(n)]
+    for v in range(n):
+        for _ in range(d_v):
+            dist = np.full(n_checks, np.inf)
+            seen_v = {v}
+            frontier = list(var_chks[v])
+            depth = 0
+            for c in frontier:
+                dist[c] = depth
+            while frontier:
+                depth += 1
+                nxt = set()
+                for c in frontier:
+                    for v2 in chk_vars[c]:
+                        if v2 not in seen_v:
+                            seen_v.add(v2)
+                            for c2 in var_chks[v2]:
+                                if not np.isfinite(dist[c2]):
+                                    nxt.add(c2)
+                for c2 in nxt:
+                    dist[c2] = depth
+                frontier = list(nxt)
+            cand = np.flatnonzero(chk_deg == chk_deg[
+                np.setdiff1d(np.arange(n_checks), var_chks[v])].min())
+            cand = np.setdiff1d(cand, var_chks[v])
+            far = cand[dist[cand] == dist[cand].max()]
+            c = int(far[rng.integers(len(far))])
+            chk_deg[c] += 1
+            chk_vars[c].append(v)
+            var_chks[v].append(c)
+    return chk_vars
+
+
+@pytest.mark.parametrize("n, n_checks, d_v, seed", [
+    (100, 40, 3, 5), (40, 20, 2, 9), (120, 48, 4, 2), (30, 12, 3, 0)])
+def test_peg_matches_scalar_bfs(n, n_checks, d_v, seed):
+    H = L._peg_edges(n, n_checks, d_v, np.random.default_rng(seed))
+    want = _scalar_peg(n, n_checks, d_v, np.random.default_rng(seed))
+    assert [np.flatnonzero(row).tolist() for row in H] == want
+
+
+@pytest.mark.parametrize("m, seed, digest", [
+    (60, 5, "bc63ec0f171f6c54867a9bd8bc5bde3a1d74da06616d4e018e8342a318c0033c"),
+    (120, 1,
+     "303d56310c9ee8f56d961279cf2e2cf87fcc1fd296c0f7168adb39c4e43327d7"),
+    (240, 7,
+     "68543886d9d1bee990aa75cd0bf690a92aa2e1d81dfda4f2bdad314b734e792f"),
+], ids=["m60-seed5", "m120-seed1", "m240-seed7"])
+def test_code_digest(m, seed, digest):
+    # sha256 of json.dumps(chk_vars) from the set-based BFS construction
+    pc = L.construct_parity_check(m, 0.6, 3, seed)
+    assert hashlib.sha256(
+        json.dumps(pc.chk_vars).encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,45 @@ def test_graph_dump_format(tmp_path):
     out2 = tmp_path / "graph2.txt"
     P.dump_graph(g2, out2)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def _scalar_graph(cfg):
+    """The derive_draw loop over every (user, RE): the reference edge list."""
+    users, syms, res = [], [], []
+    for k in range(cfg.K):
+        for t in range(cfg.T):
+            draw = P.derive_draw(cfg.system_seed, k, t, cfg.racf, cfg.N)
+            for j in draw.symbols:
+                users.append(k)
+                syms.append(j)
+                res.append(t)
+    return users, syms, res
+
+
+@pytest.mark.parametrize("cfg", [
+    # d_max = 4 over N = 5: Fisher-Yates swaps collide
+    small_cfg(K=7, m=3, T=300, racf=C.Racf((0.2, 0.1, 0.1, 0.2, 0.4))),
+    # 65536 // 3000 = 21 users per block: K = 47 leaves a short last block
+    small_cfg(K=47, T=3000),
+    # T > 32768: every block holds a single user
+    small_cfg(K=3, m=3, T=40000, racf=C.Racf((0.5, 0.2, 0.3))),
+    # seeds outside [0, 2^64) wrap as in mix()
+    small_cfg(K=4, T=700, system_seed=-5),
+    small_cfg(K=4, T=700, system_seed=2**64 + 13),
+], ids=["collisions", "partial-block", "one-user-blocks", "negative-seed",
+        "wide-seed"])
+def test_graph_matches_scalar_draws(cfg):
+    g = P.build_access_graph(cfg)
+    for got, want in zip((g.edge_user, g.edge_sym, g.edge_re),
+                         _scalar_graph(cfg)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_desk_graph_dump_digest(tmp_path):
+    # sha256 of the dump written by the scalar derive_draw build
+    from gfrma.harness import DESK_CONFIG
+    out = tmp_path / "desk.txt"
+    P.dump_graph(P.build_access_graph(DESK_CONFIG), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fae486220b70f4a134d2ef7566df81bc8d59e9fc42dbdc49eacb830fcdfd2073")
