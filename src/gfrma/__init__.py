@@ -4,11 +4,11 @@ from .config import (ChannelPrior, Racf, SystemConfig, avg_snr,
                      noise_variance_for_snr, racf_mean_degree, throughput,
                      validate_config)
 from .pattern import AccessGraph, build_access_graph, derive_draw
-from .receiver import TrialOutcome, joint_decode, joint_decode_incremental
+from .receiver import TrialOutcome, joint_decode
 
 __all__ = [
     "ChannelPrior", "Racf", "SystemConfig", "avg_snr",
     "noise_variance_for_snr", "racf_mean_degree", "throughput",
     "validate_config", "AccessGraph", "build_access_graph", "derive_draw",
-    "TrialOutcome", "joint_decode", "joint_decode_incremental",
+    "TrialOutcome", "joint_decode",
 ]

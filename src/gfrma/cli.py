@@ -4,11 +4,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import de, harness, ldpc, pattern
-from .config import (ConfigError, SystemConfig, db_to_linear,
-                     noise_variance_for_snr, read_config_file,
+from . import de, harness, pattern
+from .config import (ConfigError, SystemConfig, read_config_file,
                      validate_config)
 
 

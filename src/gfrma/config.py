@@ -170,8 +170,8 @@ def avg_snr(cfg: SystemConfig, active_gains) -> float:
 
 def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> float:
     """Noise variance that makes avg_snr equal the target gamma (linear)."""
-    if gamma <= 0:
-        raise ConfigError(f"target SNR must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ConfigError(f"target SNR must be finite and > 0, got {gamma}")
     ed = racf_mean_degree(cfg.racf)
     g = np.asarray(active_gains, dtype=float)
     signal = ed * np.sum(g * g)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, interpolate, optimize
 
-from .config import (SystemConfig, db_to_linear, linear_to_db,
-                     noise_variance_for_snr, racf_mean_degree)
+from .config import (SystemConfig, db_to_linear, noise_variance_for_snr,
+                     racf_mean_degree)
 
 _X_MAX = 60.0          # J saturates to 1 well below this
 _MI_CONVERGED = 1.0 - 1e-4

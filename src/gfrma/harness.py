@@ -40,8 +40,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name} = {v!r} must be an integer >= 1")
         if len(self.snr_db_grid) == 0:
             raise ValueError("SNR grid must be non-empty")
-        if not np.all(np.isfinite(self.snr_db_grid)):
-            raise ValueError("SNR grid must be finite")
+        with np.errstate(over="ignore"):
+            gamma = db_to_linear(self.snr_db_grid)
+        if not np.all(np.isfinite(gamma) & (gamma > 0)):
+            raise ValueError("SNR grid must give a finite linear SNR > 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         return self

@@ -28,10 +28,7 @@ class ParityCheck:
 
     n: int
     m: int
-    d_v: int
     chk_vars: list            # per-check list of variable indices
-    var_chks: list            # per-variable list of check indices
-    seed: int
     _enc: np.ndarray = field(repr=False, default=None)  # (rank, m) GF(2)
     _n_pinned: int = 0        # surplus free positions pinned to 0 (rank < n-m)
 
@@ -47,12 +44,6 @@ class ParityCheck:
     def layout(self) -> EdgeLayout:
         """Flat edge layout for vectorized message passing, built once."""
         return EdgeLayout.from_code(self)
-
-    def h_dense(self):
-        H = np.zeros((self.n_checks, self.n), dtype=np.uint8)
-        for c, vs in enumerate(self.chk_vars):
-            H[c, vs] = 1
-        return H
 
 
 def _gf2_rref(H):
@@ -138,10 +129,8 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
     # pivot expressions over the first m (info) free columns
     enc = R[:rank][:, free_cols[:m]].astype(np.uint8)
     n_pinned = n - rank - m
-    Hp = H[:, perm]
-    chk_vars = [np.flatnonzero(row).tolist() for row in Hp]
-    var_chks = [np.flatnonzero(col).tolist() for col in Hp.T]
-    return ParityCheck(n, m, d_v, chk_vars, var_chks, seed, enc, n_pinned)
+    chk_vars = [np.flatnonzero(row).tolist() for row in H[:, perm]]
+    return ParityCheck(n, m, chk_vars, enc, n_pinned)
 
 
 def encode(info_bits, pc: ParityCheck):
@@ -263,28 +252,3 @@ def bp_decode(pc: ParityCheck, channel_llrs, max_iter=50):
             return hard, True, it
     return hard, False, max_iter
 
-
-def write_alist(pc: ParityCheck, path):
-    """Export H in MacKay's alist text format (1-based indices)."""
-    n, nc = pc.n, pc.n_checks
-    with open(path, "w") as f:
-        f.write(f"{n} {nc}\n")
-        f.write(f"{max(len(c) for c in pc.var_chks)} "
-                f"{max(len(c) for c in pc.chk_vars)}\n")
-        f.write(" ".join(str(len(c)) for c in pc.var_chks) + "\n")
-        f.write(" ".join(str(len(c)) for c in pc.chk_vars) + "\n")
-        for chks in pc.var_chks:
-            f.write(" ".join(str(c + 1) for c in chks) + "\n")
-        for vs in pc.chk_vars:
-            f.write(" ".join(str(v + 1) for v in vs) + "\n")
-
-
-def read_alist(path):
-    """Parse an alist file; returns (chk_vars, var_chks)."""
-    with open(path) as f:
-        tokens = f.read().split("\n")
-    n, nc = (int(x) for x in tokens[0].split())
-    var_chks = [[int(x) - 1 for x in tokens[4 + v].split()] for v in range(n)]
-    chk_vars = [[int(x) - 1 for x in tokens[4 + n + c].split()]
-                for c in range(nc)]
-    return chk_vars, var_chks

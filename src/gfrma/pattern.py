@@ -87,8 +87,7 @@ class AccessGraph:
     """Edge set of the tripartite (user-symbol)-RE graph, as flat arrays.
 
     One entry per edge: user index, symbol index within the user's codeword,
-    and RE index (all 0-based). The three classic views M(t), R(k,j), Q(k)
-    are derived from this single edge list.
+    and RE index (all 0-based).
     """
 
     K: int
@@ -101,28 +100,6 @@ class AccessGraph:
     @property
     def n_edges(self):
         return len(self.edge_user)
-
-    def re_contributors(self, t):
-        """M(t): set of (user, symbol) pairs on RE t."""
-        sel = self.edge_re == t
-        return set(zip(self.edge_user[sel].tolist(), self.edge_sym[sel].tolist()))
-
-    def symbol_res(self, k, j):
-        """R(k,j): set of REs touching symbol j of user k."""
-        sel = (self.edge_user == k) & (self.edge_sym == j)
-        return set(self.edge_re[sel].tolist())
-
-    def user_edges(self, k):
-        """Q(k): set of (symbol, RE) edges of user k."""
-        sel = self.edge_user == k
-        return set(zip(self.edge_sym[sel].tolist(), self.edge_re[sel].tolist()))
-
-    def restricted(self, t_limit):
-        """Subgraph keeping only REs 0..t_limit-1 (rateless prefix)."""
-        sel = self.edge_re < t_limit
-        return AccessGraph(self.K, self.N, t_limit,
-                           self.edge_user[sel], self.edge_sym[sel],
-                           self.edge_re[sel])
 
 
 # draws generated per block of users in build_access_graph; bounds the

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ldpc
 from .config import SystemConfig
-from .pattern import AccessGraph, PatternDraw, mix
+from .pattern import AccessGraph, mix
 
 # domain tags keeping the activity / bits / noise substreams independent
 _TAG_ACTIVITY = 0xA11CE
@@ -61,13 +61,6 @@ def make_ground_truth(cfg: SystemConfig, pc: ldpc.ParityCheck,
     rng_noise = np.random.default_rng(mix(trial_seed, _TAG_NOISE))
     noise = rng_noise.normal(0.0, np.sqrt(cfg.noise_variance), cfg.T)
     return TrialGroundTruth(active, gains, info_bits, symbols, noise)
-
-
-def transmit_symbol(codeword_symbols, draw: PatternDraw) -> float:
-    """Sum of the selected +/-1 symbols; 0 when the degree is 0."""
-    if draw.degree == 0:
-        return 0.0
-    return float(np.sum(np.asarray(codeword_symbols)[list(draw.symbols)]))
 
 
 def superpose(cfg: SystemConfig, truth: TrialGroundTruth,

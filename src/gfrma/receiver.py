@@ -252,14 +252,6 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     )
 
 
-def joint_decode_incremental(cfg, received, graph, pc, t_limit,
-                             **kwargs) -> TrialOutcome:
-    """Decode from the first t_limit REs only (rateless prefix)."""
-    sub = graph.restricted(t_limit)
-    return joint_decode(cfg, np.asarray(received)[:t_limit], sub, pc,
-                        **kwargs)
-
-
 def _activity_posterior_vec(mu_h, xi_h, prior_mean, prior_var, p_a):
     if p_a >= 1.0:
         return np.full_like(mu_h, 1.0 - Q_FLOOR)

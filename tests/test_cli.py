@@ -41,6 +41,14 @@ def test_de_command(tmp_path, capsys):
     assert out.read_text().startswith("gamma_db,iteration,user,mi")
 
 
+def test_de_command_rejects_nan_snr(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, T=6400)
+    rc = cli.main(["de", "--config", cfg, "--snr-db", "nan", "--out",
+                   str(tmp_path / "de.csv")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_graph_dump_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, K=3, T=100)
     out = tmp_path / "graph.txt"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -66,8 +64,9 @@ def test_noise_variance_for_snr():
     cfg = paper_like_config()
     assert C.noise_variance_for_snr(cfg, 1.0, [1.0]) == pytest.approx(0.14)
     assert C.noise_variance_for_snr(cfg, 2.0, [1.0]) == pytest.approx(0.07)
-    with pytest.raises(C.ConfigError):
-        C.noise_variance_for_snr(cfg, 0.0, [1.0])
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(C.ConfigError):
+            C.noise_variance_for_snr(cfg, gamma, [1.0])
 
 
 def test_snr_round_trip_property():

@@ -36,8 +36,10 @@ def test_spec_validation():
             small_spec(workers=workers).validate()
     with pytest.raises(ValueError, match="trials"):
         small_spec(trials=1.5).validate()
-    with pytest.raises(ValueError, match="finite"):
-        small_spec(snr_db_grid=(0.0, float("nan"))).validate()
+    # NaN, and dB values whose linear SNR overflows to inf or underflows to 0
+    for grid in ((0.0, float("nan")), (4000.0,), (-4000.0,)):
+        with pytest.raises(ValueError, match="finite"):
+            small_spec(snr_db_grid=grid).validate()
 
 
 def test_run_trial_deterministic():

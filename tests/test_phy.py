@@ -35,14 +35,6 @@ def test_activity_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_transmit_symbol():
-    cw = np.array([1.0, -1.0, 1.0, 1.0])
-    assert phy.transmit_symbol(cw, P.PatternDraw(0, ())) == 0.0
-    assert phy.transmit_symbol(cw, P.PatternDraw(1, (0,))) == 1.0
-    assert phy.transmit_symbol(cw, P.PatternDraw(2, (0, 1))) == 0.0
-    assert phy.transmit_symbol(cw, P.PatternDraw(3, (0, 2, 3))) == 3.0
-
-
 @pytest.fixture(scope="module")
 def setup():
     cfg = small_cfg()
@@ -61,7 +53,7 @@ def test_superpose_matches_per_re_sums(setup):
         acc = 0.0
         for k in np.flatnonzero(truth.active):
             d = P.derive_draw(cfg.system_seed, k, t, cfg.racf, cfg.N)
-            acc += truth.gains[k] * phy.transmit_symbol(truth.symbols[k], d)
+            acc += truth.gains[k] * truth.symbols[k, list(d.symbols)].sum()
         assert y[t] == pytest.approx(acc + truth.noise[t], abs=1e-12)
 
 

@@ -282,22 +282,14 @@ def test_registration_mode_pins_activity(tiny):
     assert np.array_equal(out.declared, truth.active)
 
 
-def test_incremental_full_prefix_identical(tiny):
-    cfg, pc, graph = tiny
-    truth = phy.make_ground_truth(cfg, pc, 5)
-    y = phy.superpose(cfg, truth, graph)
-    a = R.joint_decode(cfg, y, graph, pc)
-    b = R.joint_decode_incremental(cfg, y, graph, pc, t_limit=cfg.T)
-    assert np.array_equal(a.q, b.q)
-    assert np.array_equal(a.decoded_bits, b.decoded_bits)
-    assert a.iterations == b.iterations
-
-
-def test_incremental_zero_prefix(tiny):
-    cfg, pc, graph = tiny
-    truth = phy.make_ground_truth(cfg, pc, 6)
-    y = phy.superpose(cfg, truth, graph)
-    out = R.joint_decode_incremental(cfg, y, graph, pc, t_limit=0)
+def test_empty_graph_keeps_prior_activity():
+    # users with no edges have no evidence: q stays at p_a, none declared
+    cfg = tiny_cfg(racf=C.Racf((1.0, 0.0)))
+    pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,
+                                  cfg.system_seed)
+    graph = P.build_access_graph(cfg)
+    assert graph.n_edges == 0
+    y = np.random.default_rng(6).normal(0, np.sqrt(cfg.noise_variance), cfg.T)
+    out = R.joint_decode(cfg, y, graph, pc)
     assert not out.declared.any()
-    # with no observations the posterior stays at the prior activity rate
     assert np.allclose(out.q, cfg.p_a, atol=1e-9)
