@@ -6,7 +6,7 @@ import sys
 
 from . import de, harness, pattern
 from .config import (ConfigError, SystemConfig, read_config_file,
-                     validate_config)
+                     validate_config, validate_snr_db_grid)
 
 
 def _load_config(args) -> SystemConfig:
@@ -62,9 +62,10 @@ def cmd_sweep(args):
 
 def cmd_de(args):
     cfg = _load_config(args)
+    grid = validate_snr_db_grid(
+        tuple(float(x) for x in args.snr_db.split(",")))
     gains = harness.expected_active_gains(cfg)
     gamma_th = de.threshold_search(cfg, gains)
-    grid = tuple(float(x) for x in args.snr_db.split(","))
     out = args.out or "de.csv"
     de.write_de_trace(cfg, gains, grid, out, threshold_db=gamma_th)
     print(f"gamma_th_db={gamma_th:.4g}")

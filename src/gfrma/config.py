@@ -168,6 +168,19 @@ def avg_snr(cfg: SystemConfig, active_gains) -> float:
     return float(ed * np.sum(g * g) / cfg.noise_variance)
 
 
+def validate_snr_db_grid(snr_db_grid):
+    """Raise ConfigError unless the dB grid is non-empty and every point
+    gives a finite linear SNR > 0 (NaN fails, and so do dB values whose
+    linear SNR overflows to inf or underflows to 0)."""
+    if len(snr_db_grid) == 0:
+        raise ConfigError("SNR grid must be non-empty")
+    with np.errstate(over="ignore"):
+        gamma = db_to_linear(snr_db_grid)
+    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+        raise ConfigError("SNR grid must give a finite linear SNR > 0")
+    return snr_db_grid
+
+
 def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> float:
     """Noise variance that makes avg_snr equal the target gamma (linear)."""
     if not (math.isfinite(gamma) and gamma > 0):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import de, ldpc, phy, receiver
 from .config import (SystemConfig, db_to_linear, noise_variance_for_snr,
-                     validate_config)
+                     validate_config, validate_snr_db_grid)
 from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
@@ -38,12 +38,7 @@ class ExperimentSpec:
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} = {v!r} must be an integer >= 1")
-        if len(self.snr_db_grid) == 0:
-            raise ValueError("SNR grid must be non-empty")
-        with np.errstate(over="ignore"):
-            gamma = db_to_linear(self.snr_db_grid)
-        if not np.all(np.isfinite(gamma) & (gamma > 0)):
-            raise ValueError("SNR grid must give a finite linear SNR > 0")
+        validate_snr_db_grid(self.snr_db_grid)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         return self

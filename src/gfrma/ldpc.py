@@ -177,27 +177,26 @@ def vn_update(channel_llr, incoming_checks):
     return float(channel_llr) + float(np.sum(incoming_checks))
 
 
-def check_messages(v2c, chk_ptr):
+def check_messages(v2c, lay: EdgeLayout):
     """Leave-one-out check update for a flat edge array grouped by check.
 
-    v2c has shape (..., E) with edges sorted by check; chk_ptr are the group
-    start offsets (as for reduceat). Returns the outgoing c2v array of the
-    same shape. Matches cn_update edge by edge, with exact handling of zero
-    inputs (tanh = 0 annihilates the product on every other edge).
+    v2c has shape (..., E) with edges in the order of the layout, sorted by
+    check. Returns the outgoing c2v array of the same shape. Matches
+    cn_update edge by edge, with exact handling of zero inputs (tanh = 0
+    annihilates the product on every other edge).
     """
     t = np.tanh(np.clip(v2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
     absr = np.abs(t)
     iszero = absr < 1e-300
     logt = np.where(iszero, 0.0, np.log(np.where(iszero, 1.0, absr)))
     neg = ((t < 0) & ~iszero).astype(np.int64)
-    sum_log = np.add.reduceat(logt, chk_ptr, axis=-1)
-    n_zero = np.add.reduceat(iszero.astype(np.int64), chk_ptr, axis=-1)
-    n_neg = np.add.reduceat(neg, chk_ptr, axis=-1)
+    sum_log = np.add.reduceat(logt, lay.chk_ptr, axis=-1)
+    n_zero = np.add.reduceat(iszero.astype(np.int64), lay.chk_ptr, axis=-1)
+    n_neg = np.add.reduceat(neg, lay.chk_ptr, axis=-1)
     # expand per-check aggregates back onto edges
-    reps = np.diff(np.append(chk_ptr, v2c.shape[-1]))
-    sum_log = np.repeat(sum_log, reps, axis=-1)
-    n_zero = np.repeat(n_zero, reps, axis=-1)
-    n_neg = np.repeat(n_neg, reps, axis=-1)
+    sum_log = np.repeat(sum_log, lay.chk_deg, axis=-1)
+    n_zero = np.repeat(n_zero, lay.chk_deg, axis=-1)
+    n_neg = np.repeat(n_neg, lay.chk_deg, axis=-1)
     other_zero = n_zero - iszero
     mag = np.exp(sum_log - logt)
     mag = np.where(other_zero > 0, 0.0, np.minimum(mag, _TANH_CLAMP))
@@ -209,44 +208,63 @@ def check_messages(v2c, chk_ptr):
 class EdgeLayout:
     """Flat edge indexing of a ParityCheck for vectorized message passing."""
 
+    n: int                 # variables
     edge_var: np.ndarray   # variable of each edge (sorted by check)
     chk_ptr: np.ndarray    # reduceat offsets per check
+    chk_deg: np.ndarray    # edges per check, to expand per-check values
+    # bin row * n + variable of each edge of stacked words; grown on demand
+    _var_bins: np.ndarray = field(
+        repr=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @classmethod
     def from_code(cls, pc: ParityCheck):
+        deg = np.array(pc.check_degrees)
         ptr = np.cumsum([0] + pc.check_degrees[:-1])
-        return cls(np.concatenate(pc.chk_vars), ptr)
+        return cls(pc.n, np.concatenate(pc.chk_vars), ptr, deg)
+
+    def var_bins(self, rows):
+        """Bin of every edge of `rows` stacked words, row-major: (rows*E,)."""
+        n_edges = len(self.edge_var)
+        if len(self._var_bins) < rows * n_edges:
+            self._var_bins = (np.arange(rows)[:, None] * self.n
+                              + self.edge_var).ravel()
+        return self._var_bins[:rows * n_edges]
 
 
-def _sum_per_var(c2v, lay: EdgeLayout, n):
+def _sum_per_var(c2v, lay: EdgeLayout):
     """Sum edge messages of shape (..., E) onto their variables: (..., n)."""
     batch = c2v.shape[:-1]
     rows = math.prod(batch)
-    idx = (np.arange(rows)[:, None] * n + lay.edge_var).ravel()
-    return np.bincount(idx, weights=c2v.ravel(),
-                       minlength=rows * n).reshape(*batch, n)
+    return np.bincount(lay.var_bins(rows), weights=c2v.ravel(),
+                       minlength=rows * lay.n).reshape(*batch, lay.n)
 
 
-def flood(Lch, c2v, pc: ParityCheck):
+def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
     """One flooding sum-product iteration over a leading batch axis.
 
-    Lch holds channel LLRs of shape (..., n) and c2v the check-to-variable
-    messages of shape (..., E) in layout order. Returns the new c2v and the
-    posterior LLRs of shape (..., n).
+    Lch holds channel LLRs of shape (..., n), c2v the check-to-variable
+    messages of shape (..., E) in layout order and c2v_sum their sum per
+    variable, as the previous call returned it (zeros with zero c2v).
+    Returns the new (c2v, c2v_sum) and the posterior LLRs of shape (..., n).
+
+    A row of Lch that is exactly +0.0, with zero messages, stays +0.0 in
+    every output: each check has degree >= 2, so every edge has another
+    zero input and gets a zero message.
     """
     lay = pc.layout
-    c2v_sum = _sum_per_var(c2v, lay, pc.n)
-    v2c = Lch[..., lay.edge_var] + c2v_sum[..., lay.edge_var] - c2v
-    c2v = check_messages(v2c, lay.chk_ptr)
-    return c2v, Lch + _sum_per_var(c2v, lay, pc.n)
+    v2c = (Lch + c2v_sum)[..., lay.edge_var] - c2v
+    c2v = check_messages(v2c, lay)
+    c2v_sum = _sum_per_var(c2v, lay)
+    return c2v, c2v_sum, Lch + c2v_sum
 
 
 def bp_decode(pc: ParityCheck, channel_llrs, max_iter=50):
     """Flooding sum-product decoder; returns (hard_bits, ok, iterations)."""
     Lch = np.asarray(channel_llrs, dtype=float)
     c2v = np.zeros(len(pc.layout.edge_var))
+    c2v_sum = np.zeros(pc.n)
     for it in range(1, max_iter + 1):
-        c2v, total = flood(Lch, c2v, pc)
+        c2v, c2v_sum, total = flood(Lch, c2v, c2v_sum, pc)
         hard = (total < 0).astype(np.uint8)
         if syndrome_ok(hard, pc):
             return hard, True, it

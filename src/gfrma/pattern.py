@@ -7,6 +7,7 @@ what lets the receiver identify users without any registration handshake.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,18 @@ class AccessGraph:
     @property
     def n_edges(self):
         return len(self.edge_user)
+
+    @cached_property
+    def has_edges(self):
+        """Per user: True if the user has at least one edge."""
+        return np.bincount(self.edge_user, minlength=self.K) > 0
+
+    @cached_property
+    def edge_live_sym(self):
+        """Each edge's symbol in the stacked codewords of the users that
+        have edges: (rank of the user among them) * N + symbol."""
+        rank = np.cumsum(self.has_edges) - 1
+        return rank[self.edge_user] * self.N + self.edge_sym
 
 
 # draws generated per block of users in build_access_graph; bounds the

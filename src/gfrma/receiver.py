@@ -104,11 +104,10 @@ def activity_posterior(mu_h, xi_h, prior_mean, prior_var, p_a):
 
 @dataclass
 class BeliefState:
-    """All messages of the joint decoder at one iteration."""
+    """The joint decoder's per-edge and per-user beliefs at one iteration."""
 
     v2r: np.ndarray      # LLR per access-graph edge, symbol -> RE
     r2v: np.ndarray      # LLR per access-graph edge, RE -> symbol
-    c2v: np.ndarray      # (K, E_ldpc) LDPC check -> variable messages
     mu_h: np.ndarray     # per-user channel mean estimate
     xi_h: np.ndarray     # per-user channel variance estimate
     q: np.ndarray        # per-user activity posterior
@@ -127,11 +126,10 @@ class TrialOutcome:
     converged: str = "max_iterations"
 
 
-def initial_state(cfg: SystemConfig, graph: AccessGraph, n_ldpc_edges):
+def initial_state(cfg: SystemConfig, graph: AccessGraph):
     return BeliefState(
         v2r=np.zeros(graph.n_edges),
         r2v=np.zeros(graph.n_edges),
-        c2v=np.zeros((cfg.K, n_ldpc_edges)),
         mu_h=np.full(cfg.K, cfg.prior.mean),
         xi_h=np.full(cfg.K, cfg.prior.var),
         q=np.full(cfg.K, cfg.p_a),
@@ -162,13 +160,17 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
 
     e_user = graph.edge_user
     e_re = graph.edge_re
-    e_gsym = graph.edge_user * graph.N + graph.edge_sym  # global symbol id
-    # users with no edges have no evidence and keep the prior activity rate
-    has_edges = np.bincount(e_user, minlength=cfg.K) > 0
+    y_e = y[e_re]
+    # The LDPC step runs on the live users, those with edges, only. A user
+    # with no edges has an all +0.0 channel LLR row, which ldpc.flood keeps
+    # at +0.0: its hard bits are the all-zero codeword, which passes.
+    live = np.flatnonzero(graph.has_edges)
+    e_sym = graph.edge_live_sym
+    n_live = len(live)
     xi_w = cfg.noise_variance
     prior = cfg.prior
 
-    state = initial_state(cfg, graph, len(pc.layout.edge_var))
+    state = initial_state(cfg, graph)
     if known_active is not None:
         state.q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
     if pinned_csi is not None:
@@ -176,42 +178,43 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         state.mu_h = np.asarray(gains, dtype=float).copy()
         state.xi_h = np.full(cfg.K, var)
 
+    c2v = np.zeros((n_live, len(pc.layout.edge_var)))
+    c2v_sum = np.zeros((n_live, pc.n))
+    m_soft = np.zeros(graph.n_edges)      # tanh(v2r / 2) of v2r = 0
     total = None
     converged = "max_iterations"
     for n in range(1, cfg.max_iterations + 1):
         # (1) interference moments per edge, leave-one-out via RE aggregates
-        m_soft = np.tanh(state.v2r / 2.0)
-        a = state.q[e_user]
-        mu = state.mu_h[e_user]
-        xi = state.xi_h[e_user]
-        term_mu = a * mu * m_soft
+        q, mu_h, xi_h = state.q, state.mu_h, state.xi_h
+        term_mu = (q * mu_h)[e_user] * m_soft
         # per-edge variance term: q (mu^2 + xi) - q^2 mu^2 m^2
-        term_var = a * (mu * mu + xi) - term_mu ** 2
+        term_var = (q * (mu_h * mu_h + xi_h))[e_user] - term_mu ** 2
         S_mu = np.bincount(e_re, weights=term_mu, minlength=graph.T)
         S_var = np.bincount(e_re, weights=term_var, minlength=graph.T)
         mu_i = S_mu[e_re] - term_mu
         xi_i = np.maximum(S_var[e_re] - term_var, 0.0)
+        resid = y_e - mu_i
 
         # (2) RE -> symbol messages
-        r2v = np.clip(2.0 * mu * (y[e_re] - mu_i) / (xi + xi_i + xi_w),
-                      -LLR_CLAMP, LLR_CLAMP)
+        r2v = np.clip((2.0 * mu_h)[e_user] * resid
+                      / (xi_h[e_user] + xi_i + xi_w), -LLR_CLAMP, LLR_CLAMP)
         state.r2v = r2v
-        Lch = np.bincount(e_gsym, weights=r2v,
-                          minlength=cfg.K * pc.n).reshape(cfg.K, pc.n)
+        Lch = np.bincount(e_sym, weights=r2v,
+                          minlength=n_live * pc.n).reshape(n_live, pc.n)
 
-        # (3) one flooding LDPC iteration per user
+        # (3) one flooding LDPC iteration per live user
         prev_total = total
-        state.c2v, total = ldpc.flood(Lch, state.c2v, pc)
+        c2v, c2v_sum, total = ldpc.flood(Lch, c2v, c2v_sum, pc)
         # extrinsic symbol -> RE messages
-        state.v2r = np.clip(total.reshape(-1)[e_gsym] - r2v,
+        state.v2r = np.clip(total.reshape(-1)[e_sym] - r2v,
                             -LLR_CLAMP, LLR_CLAMP)
+        m_soft = np.tanh(state.v2r / 2.0)
 
         # (4) symbol-wise channel estimates, fused per user
         if pinned_csi is None:
-            th = np.tanh(state.v2r / 2.0)
             denom = xi_i + xi_w
-            w = th * th / denom
-            wm = (y[e_re] - mu_i) * th / denom
+            w = m_soft * m_soft / denom
+            wm = resid * m_soft / denom
             W = np.bincount(e_user, weights=w, minlength=cfg.K)
             WM = np.bincount(e_user, weights=wm, minlength=cfg.K)
             prec = W + 1.0 / prior.var
@@ -219,30 +222,34 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
             state.xi_h = 1.0 / prec
 
         # (5) activity posteriors
+        # users with no edges have no evidence and keep the prior activity
         if known_active is None:
             q_new = _activity_posterior_vec(state.mu_h, state.xi_h,
                                             prior.mean, prior.var, cfg.p_a)
-            state.q = np.where(has_edges, q_new, state.q)
+            state.q = np.where(graph.has_edges, q_new, state.q)
         state.iteration = n
         if collect_states is not None:
             collect_states.append(BeliefState(
-                state.v2r.copy(), state.r2v.copy(), state.c2v.copy(),
-                state.mu_h.copy(), state.xi_h.copy(), state.q.copy(), n))
+                state.v2r.copy(), state.r2v.copy(), state.mu_h.copy(),
+                state.xi_h.copy(), state.q.copy(), n))
 
         hard = (total < 0).astype(np.uint8)
-        synd = ldpc.syndrome_ok(hard, pc)
         declared = state.q > cfg.activity_threshold
-        if declared.any() and synd[declared].all():
+        if (declared.any()
+                and ldpc.syndrome_ok(hard[declared[live]], pc).all()):
             converged = "all_declared_decoded"
             break
         if (prev_total is not None
-                and np.max(np.abs(total - prev_total)) < STALL_TOL):
+                and np.max(np.abs(total - prev_total), initial=0.0)
+                < STALL_TOL):
             converged = "stalled"
             break
 
+    bits = np.zeros((cfg.K, pc.n), dtype=np.uint8)
+    bits[live] = hard
     return TrialOutcome(
-        decoded_bits=hard[:, :pc.m],
-        syndrome_pass=synd,
+        decoded_bits=bits[:, :pc.m],
+        syndrome_pass=ldpc.syndrome_ok(bits, pc),
         declared=declared,
         q=state.q,
         mu_h=state.mu_h,

@@ -42,11 +42,14 @@ def test_de_command(tmp_path, capsys):
 
 
 def test_de_command_rejects_nan_snr(tmp_path, capsys):
+    # rejected before the threshold search runs and before the file opens
     cfg = write_cfg(tmp_path, T=6400)
+    out = tmp_path / "de.csv"
     rc = cli.main(["de", "--config", cfg, "--snr-db", "nan", "--out",
-                   str(tmp_path / "de.csv")])
+                   str(out)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_graph_dump_command(tmp_path, capsys):

@@ -95,14 +95,36 @@ def test_syndrome_batch_matches_rows(pc400):
     assert batch.tolist() == [True, False, True, False]
 
 
+def _flood_iterations(pc, Lch, iterations=3):
+    """(c2v, total) after `iterations` floods from zero messages."""
+    c2v = np.zeros(Lch.shape[:-1] + (len(pc.layout.edge_var),))
+    c2v_sum = np.zeros(Lch.shape)
+    for _ in range(iterations):
+        c2v, c2v_sum, total = L.flood(Lch, c2v, c2v_sum, pc)
+    return c2v, total
+
+
 def test_flood_batch_matches_rows(pc400):
     rng = np.random.default_rng(12)
-    n_edges = len(pc400.layout.edge_var)
     Lch = rng.normal(0, 3, (2, pc400.n))
-    c2v = rng.normal(0, 2, (2, n_edges))
-    c2v_b, total_b = L.flood(Lch, c2v, pc400)
+    c2v_b, total_b = _flood_iterations(pc400, Lch)
     for k in range(2):
-        c2v_k, total_k = L.flood(Lch[k], c2v[k], pc400)
+        c2v_k, total_k = _flood_iterations(pc400, Lch[k])
+        assert np.array_equal(c2v_b[k], c2v_k)
+        assert np.array_equal(total_b[k], total_k)
+
+
+def test_flood_keeps_zero_row_at_positive_zero(pc400):
+    # the receiver floods only the users with edges: a user without edges
+    # has an Lch row of +0.0, which must stay +0.0 in every output
+    rng = np.random.default_rng(13)
+    Lch = rng.normal(0, 3, (3, pc400.n))
+    Lch[1] = 0.0
+    c2v_b, total_b = _flood_iterations(pc400, Lch)
+    for out in (c2v_b[1], total_b[1]):
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+    for k in range(3):
+        c2v_k, total_k = _flood_iterations(pc400, Lch[k])
         assert np.array_equal(c2v_b[k], c2v_k)
         assert np.array_equal(total_b[k], total_k)
 
@@ -113,6 +135,11 @@ def test_layout_built_once(pc400):
     assert lay.edge_var.tolist() == [v for vs in pc400.chk_vars for v in vs]
     degs = pc400.check_degrees
     assert lay.chk_ptr.tolist() == [sum(degs[:c]) for c in range(len(degs))]
+    assert lay.chk_deg.tolist() == degs
+    bins = lay.var_bins(3)
+    assert np.array_equal(bins, (np.arange(3)[:, None] * pc400.n
+                                 + lay.edge_var).ravel())
+    assert np.array_equal(lay.var_bins(2), bins[:2 * len(lay.edge_var)])
 
 
 def test_cn_update_values():
@@ -132,15 +159,22 @@ def test_vn_update():
 
 def test_check_messages_matches_scalar():
     rng = np.random.default_rng(4)
-    for _ in range(50):
+    for trial in range(80):
         deg = rng.integers(2, 9)
         llrs = rng.normal(0, 4, deg)
-        if rng.random() < 0.3:
-            llrs[rng.integers(deg)] = 0.0
-        out = L.check_messages(llrs[None, :], np.array([0]))[0]
+        # zero inputs: none, one, or two or more (every output then 0)
+        n_zero = (0, 1, 2, int(deg))[trial % 4]
+        llrs[rng.choice(deg, n_zero, replace=False)] = 0.0
+        lay = L.EdgeLayout(deg, np.arange(deg), np.array([0]),
+                           np.array([deg]))
+        out = L.check_messages(llrs[None, :], lay)[0]
         for i in range(deg):
             ref = L.cn_update(np.delete(llrs, i))
             assert out[i] == pytest.approx(ref, abs=1e-9)
+        if n_zero >= 2:
+            assert np.all(out == 0.0)
+        if n_zero == deg:
+            assert not np.signbit(out).any()
 
 
 def test_noiseless_decode(pc400):

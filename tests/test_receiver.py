@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from gfrma import config as C
+from gfrma import harness as H
 from gfrma import ldpc as L
 from gfrma import pattern as P
 from gfrma import phy
@@ -293,3 +295,52 @@ def test_empty_graph_keeps_prior_activity():
     out = R.joint_decode(cfg, y, graph, pc)
     assert not out.declared.any()
     assert np.allclose(out.q, cfg.p_a, atol=1e-9)
+
+
+# sha256 of _outcome_digest's outcomes, as the decoder produced them before
+# the LDPC step was restricted to the users that have edges; every change to
+# joint_decode that means to keep its outputs must keep this digest
+GOLDEN_DIGEST = (
+    "9496e33e95478c40daedd36e0d670eb226cb6d5695b0d329751961eaffe74dd1")
+
+
+def _outcome_digest():
+    """sha256 over run_trial outcomes at DESK_CONFIG, master seed 1: every
+    mode, -7.0 and -5.5 dB, trials 0 and 1, at full float precision."""
+    base = dataclasses.replace(H.DESK_CONFIG, system_seed=1)
+    pc = L.construct_parity_check(base.m, base.code_rate, base.d_v,
+                                  base.system_seed)
+    graph = P.build_access_graph(base)
+    gains = H.expected_active_gains(base)
+    h = hashlib.sha256()
+    for mode in H.MODES:
+        for snr_db in (-7.0, -5.5):
+            cfg = base.with_noise_variance(C.noise_variance_for_snr(
+                base, C.db_to_linear(snr_db), gains))
+            for trial in (0, 1):
+                _, out = H.run_trial(cfg, pc, graph, trial, mode)
+                for arr in (out.decoded_bits, out.syndrome_pass,
+                            out.declared, out.q, out.mu_h, out.xi_h):
+                    arr = np.ascontiguousarray(arr)
+                    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                    h.update(arr.tobytes())
+                h.update(f"{out.iterations} {out.converged}".encode())
+    return h.hexdigest()
+
+
+def test_golden_decode_digest():
+    assert _outcome_digest() == GOLDEN_DIGEST
+
+
+def test_registration_without_actives():
+    # no active user: the LDPC step runs on an empty batch, nothing declared
+    cfg = tiny_cfg()
+    pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,
+                                  cfg.system_seed)
+    graph = P.build_access_graph(cfg)
+    y = np.random.default_rng(7).normal(0, np.sqrt(cfg.noise_variance), cfg.T)
+    out = R.joint_decode(cfg, y, graph, pc,
+                         known_active=np.zeros(cfg.K, dtype=bool))
+    assert not out.declared.any() and out.syndrome_pass.all()
+    assert not out.decoded_bits.any()
+    assert out.converged == "stalled" and out.iterations == 2
