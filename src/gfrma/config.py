@@ -40,6 +40,8 @@ class Racf:
     @classmethod
     def from_dict(cls, mapping):
         """Build from {degree: probability}; unlisted degrees get 0."""
+        if min(mapping) < 0:
+            raise ConfigError(f"RACf degree {min(mapping)} is negative")
         d_max = max(mapping)
         probs = [0.0] * (d_max + 1)
         for d, p in mapping.items():
@@ -199,7 +201,10 @@ def _parse_value(key, raw):
         pairs = {}
         for item in raw.split(","):
             d, p = item.split(":")
-            pairs[int(d)] = float(p)
+            d = int(d)
+            if d in pairs:
+                raise ConfigError(f"RACf degree {d} is given twice")
+            pairs[d] = float(p)
         return Racf.from_dict(pairs)
     if key == "gains":
         return tuple(float(x) for x in raw.split(","))

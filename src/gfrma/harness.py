@@ -33,7 +33,9 @@ class ExperimentSpec:
     workers: int = 1
 
     def validate(self):
-        validate_config(self.cfg)
+        # the config monte_carlo and attach_de run, seeded by master_seed
+        validate_config(dataclasses.replace(self.cfg,
+                                            system_seed=self.master_seed))
         for name in ("trials", "workers"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
@@ -86,20 +88,13 @@ def trial_stats(cfg, truth, outcome):
     active = truth.active
     n_active = int(active.sum())
     declared = outcome.declared
-    ok_bits = outcome.decoded_bits == truth.info_bits
-    block_err = 0
-    bit_err = 0
-    for k in np.flatnonzero(active):
-        good = declared[k] and bool(ok_bits[k].all())
-        block_err += not good
-        if declared[k]:
-            bit_err += int((~ok_bits[k]).sum())
-        else:
-            bit_err += cfg.m     # undeclared active: whole packet lost
+    # wrong bits per active user; an undeclared one loses its whole packet
+    wrong = (outcome.decoded_bits != truth.info_bits).sum(axis=1)
+    wrong = np.where(declared, wrong, cfg.m)[active]
     misses = int((active & ~declared).sum())
     false_alarms = int((~active & declared).sum())
-    return (n_active, block_err, bit_err, n_active * cfg.m, misses,
-            false_alarms, int((~active).sum()))
+    return (n_active, int(np.count_nonzero(wrong)), int(wrong.sum()),
+            n_active * cfg.m, misses, false_alarms, int((~active).sum()))
 
 
 def wilson_halfwidth(errors, n, z=1.96):

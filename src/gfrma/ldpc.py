@@ -134,13 +134,17 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
 
 
 def encode(info_bits, pc: ParityCheck):
-    """Systematic encode: codeword = [info | parity], H @ c = 0 over GF(2)."""
+    """Systematic encode: codeword = [info | parity], H @ c = 0 over GF(2).
+
+    Takes info bits of shape (..., m): one word, or one word per row of a
+    batch. uint8 wrap-around keeps the parity of each sum.
+    """
     b = np.asarray(info_bits, dtype=np.uint8)
-    if b.shape != (pc.m,):
+    if b.shape[-1:] != (pc.m,):
         raise ValueError(f"expected {pc.m} info bits, got {b.shape}")
-    parity = (pc._enc @ b) % 2
-    return np.concatenate([b, np.zeros(pc._n_pinned, dtype=np.uint8),
-                           parity.astype(np.uint8)])
+    parity = (b @ pc._enc.T) % 2
+    return np.concatenate([b, np.zeros(b.shape[:-1] + (pc._n_pinned,),
+                                       dtype=np.uint8), parity], axis=-1)
 
 
 def bits_to_symbols(bits):

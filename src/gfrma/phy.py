@@ -54,10 +54,9 @@ def make_ground_truth(cfg: SystemConfig, pc: ldpc.ParityCheck,
     gains = np.where(active, cfg.true_gains(), 0.0)
     rng_bits = np.random.default_rng(mix(trial_seed, _TAG_BITS))
     info_bits = np.zeros((cfg.K, cfg.m), dtype=np.uint8)
+    info_bits[active] = rng_bits.integers(0, 2, (active.sum(), cfg.m))
     symbols = np.zeros((cfg.K, cfg.N))
-    for k in np.flatnonzero(active):
-        info_bits[k] = rng_bits.integers(0, 2, cfg.m)
-        symbols[k] = ldpc.bits_to_symbols(ldpc.encode(info_bits[k], pc))
+    symbols[active] = ldpc.bits_to_symbols(ldpc.encode(info_bits[active], pc))
     rng_noise = np.random.default_rng(mix(trial_seed, _TAG_NOISE))
     noise = rng_noise.normal(0.0, np.sqrt(cfg.noise_variance), cfg.T)
     return TrialGroundTruth(active, gains, info_bits, symbols, noise)

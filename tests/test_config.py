@@ -107,6 +107,17 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.prior == C.ChannelPrior(1.0, 10.0)
 
 
+@pytest.mark.parametrize("racf,match", [
+    ("0:0.5,1:0.5,-1:0.5", "negative"),
+    ("0:0.2,1:0.3,1:0.8", "twice"),
+])
+def test_config_file_bad_racf_degree(tmp_path, racf, match):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"racf = {racf}\n")
+    with pytest.raises(C.ConfigError, match=match):
+        C.read_config_file(p)
+
+
 def test_config_file_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("bogus = 3\n")

@@ -204,6 +204,80 @@ def test_mi_step_monotone_dominance():
         assert na.xi_s <= nb.xi_s + 1e-9
 
 
+def _mi_step_per_user(state, cfg, active_gains):
+    """The per-user Gauss-Legendre loop mi_step replaced, its xi_h = 0 fork
+    included; kept as the oracle for the array step."""
+    g = np.asarray(active_gains, dtype=float)
+    ed = C.racf_mean_degree(cfg.racf)
+    dc_prof = de.check_degree_profile(cfg.N, cfg.m, cfg.d_v)
+    xi_w = cfg.noise_variance
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    mi_new = np.zeros(len(g))
+    mu_c2v_new = np.zeros(len(g))
+    for k, h in enumerate(g):
+        xi_h = state.xi_h[k]
+        xi_total = state.xi_s + xi_h + xi_w
+        if xi_h < 1e-30:
+            mu_l = max(de.l1(h, ed, cfg.T, cfg.N, h, xi_total), 0.0)
+            mu_cv = de.l2(mu_l, cfg.d_v, dc_prof, state.mu_c2v[k])
+            mi_new[k] = de._tables.j(
+                math.sqrt(2.0 * max(mu_l + cfg.d_v * mu_cv, 0.0)))
+            mu_c2v_new[k] = mu_cv
+            continue
+        sd = math.sqrt(xi_h)
+        lo, hi = h - 8.0 * sd, h
+        mu = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        wq = 0.5 * (hi - lo) * weights
+        pdf2 = 2.0 * np.exp(-(mu - h) ** 2 / (2.0 * xi_h)) \
+            / math.sqrt(2.0 * math.pi * xi_h)
+        mu_l = np.maximum(de.l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
+        mu_cv = de.l2(mu_l, cfg.d_v, dc_prof, state.mu_c2v[k])
+        jvals = de._tables.j(np.sqrt(2.0 * np.maximum(
+            mu_l + cfg.d_v * mu_cv, 0.0)))
+        mass = float(np.sum(wq * pdf2))
+        mi_new[k] = float(np.sum(wq * pdf2 * jvals))
+        mu_c2v_new[k] = float(np.sum(wq * pdf2 * mu_cv)
+                              / max(mass, 1e-300))
+    mi_new = np.clip(mi_new, 0.0, 1.0)
+    xi_s_new = de.de_interference_variance(g, cfg.racf, mi_new, state.xi_h)
+    xi_h_new = de.de_channel_variance(cfg.racf, cfg.T, xi_s_new, xi_w,
+                                      cfg.prior.var, mi_new)
+    return de.DeState(mi_new, xi_h_new, mu_c2v_new, xi_s_new,
+                      state.iteration + 1)
+
+
+@pytest.mark.parametrize("cfg,n_active", [
+    (desk_cfg(), 3),
+    (desk_cfg(K=100, m=240), 10),    # PAPER_CONFIG
+])
+def test_mi_step_matches_per_user_loop(cfg, n_active):
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        g = rng.uniform(0.5, 1.5, n_active)
+        # channel variances from the prior's scale down to converged ones
+        xi_h = rng.uniform(0.0, 2.0, n_active) * rng.uniform(0, 1) ** 6
+        if trial % 3 == 0:
+            xi_h[rng.integers(n_active)] = 0.0
+        if trial == 1:
+            xi_h[:] = 0.0
+        st = de.DeState(mi=rng.uniform(0, 1, n_active), xi_h=xi_h,
+                        mu_c2v=rng.uniform(0, 30, n_active),
+                        xi_s=float(rng.uniform(0.0, 3.0)))
+        cfg_w = cfg.with_noise_variance(float(10 ** rng.uniform(-2, 1)))
+        got = de.mi_step(st, cfg_w, g)
+        ref = _mi_step_per_user(st, cfg_w, g)
+        assert got.iteration == ref.iteration == 1
+        np.testing.assert_allclose(got.mi, ref.mi, rtol=0, atol=1e-12)
+        for name in ("mu_c2v", "xi_h"):
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(ref, name), rtol=1e-12,
+                                       atol=0, err_msg=name)
+        # xi_s is E[d] sum(h^2 + xi_h - h^2 Omega): near MI = 1 the terms
+        # cancel, so it is held relative to their scale, not its own
+        scale = C.racf_mean_degree(cfg.racf) * np.sum(g * g + xi_h)
+        assert abs(got.xi_s - ref.xi_s) <= 1e-12 * scale
+
+
 def test_mi_trajectory_non_decreasing():
     cfg = desk_cfg()
     g = np.ones(3)
@@ -231,6 +305,14 @@ def test_threshold_bisection_contract(desk_threshold):
     assert np.isfinite(th)
     assert de.de_converges(cfg, g, C.db_to_linear(th + 0.05))
     assert not de.de_converges(cfg, g, C.db_to_linear(th - 0.05))
+
+
+def test_threshold_pinned(desk_threshold):
+    # exact bisection results; a change to the DE arithmetic moves them
+    assert desk_threshold[2] == -7.7587890625
+    cfg = desk_cfg(K=100, m=240)     # PAPER_CONFIG
+    assert de.threshold_search(cfg, np.ones(10), tol_db=0.05) \
+        == 1.0302734375
 
 
 def test_threshold_monotone_in_snr(desk_threshold):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,7 +18,18 @@ def _run_demo(name):
                           timeout=120)
 
 
-def test_joint_receiver_demo_runs():
-    proc = _run_demo("joint_receiver_demo.py")
+# a line each demo prints; sweep_comparison.py is left out: it runs for
+# minutes and writes its CSVs into the working directory
+MARKERS = {
+    "protocol_basics.py": "RE occupancy",
+    "ldpc_awgn.py": "decode failures",
+    "de_threshold.py": "threshold SNR",
+    "joint_receiver_demo.py": "terminated after",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARKERS))
+def test_demo_runs(name):
+    proc = _run_demo(name)
     assert proc.returncode == 0, proc.stderr
-    assert "terminated after" in proc.stdout
+    assert MARKERS[name] in proc.stdout

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,9 @@ def test_spec_validation():
     for grid in ((0.0, float("nan")), (4000.0,), (-4000.0,)):
         with pytest.raises(ValueError, match="finite"):
             small_spec(snr_db_grid=grid).validate()
+    for seed in (1.5, float("nan"), "1"):
+        with pytest.raises(C.ConfigError, match="integer"):
+            small_spec(master_seed=seed).validate()
 
 
 def test_run_trial_deterministic():
@@ -84,6 +88,55 @@ def test_trial_stats_accounting():
     assert misses <= block_err <= n_active        # misses are block errors
     assert 0 <= false_alarms <= n_inactive
     assert bit_err <= n_bits
+
+
+def _trial_stats_per_user(cfg, truth, outcome):
+    """The per-user loop trial_stats replaced; kept as its oracle."""
+    active = truth.active
+    n_active = int(active.sum())
+    declared = outcome.declared
+    ok_bits = outcome.decoded_bits == truth.info_bits
+    block_err = 0
+    bit_err = 0
+    for k in np.flatnonzero(active):
+        good = declared[k] and bool(ok_bits[k].all())
+        block_err += not good
+        if declared[k]:
+            bit_err += int((~ok_bits[k]).sum())
+        else:
+            bit_err += cfg.m
+    misses = int((active & ~declared).sum())
+    false_alarms = int((~active & declared).sum())
+    return (n_active, block_err, bit_err, n_active * cfg.m, misses,
+            false_alarms, int((~active).sum()))
+
+
+def test_trial_stats_matches_per_user_loop():
+    cfg = small_cfg(K=8, m=10)
+    rng = np.random.default_rng(4)
+    info = rng.integers(0, 2, (8, 10)).astype(np.uint8)
+    active = np.array([1, 1, 1, 1, 0, 0, 0, 1], dtype=bool)
+    info[~active] = 0
+    decoded = info.copy()
+    decoded[1, [0, 3, 7]] ^= 1      # declared active user, 3 wrong bits
+    decoded[2] ^= 1                 # undeclared active user, bits ignored
+    decoded[3, 4] ^= 1              # declared active user, 1 wrong bit
+    decoded[5, 2] = 1               # false alarm with a nonzero word
+    declared = np.array([1, 1, 0, 1, 0, 1, 0, 1], dtype=bool)
+    truth = SimpleNamespace(active=active, info_bits=info)
+    cases = [(declared, decoded), (np.zeros(8, bool), decoded),
+             (np.ones(8, bool), info)]
+    for dec, bits in cases:
+        out = SimpleNamespace(declared=dec, decoded_bits=bits)
+        got = H.trial_stats(cfg, truth, out)
+        assert got == _trial_stats_per_user(cfg, truth, out)
+        assert all(type(v) is int for v in got)
+    out = SimpleNamespace(declared=declared, decoded_bits=decoded)
+    assert H.trial_stats(cfg, truth, out) == (5, 3, 14, 50, 1, 1, 3)
+    none = SimpleNamespace(active=np.zeros(8, bool),
+                           info_bits=np.zeros_like(info))
+    out = SimpleNamespace(declared=np.zeros(8, bool), decoded_bits=info)
+    assert H.trial_stats(cfg, none, out) == (0, 0, 0, 0, 0, 0, 8)
 
 
 def test_wilson_halfwidth():

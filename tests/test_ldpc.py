@@ -64,6 +64,21 @@ def test_encode_zero_and_linearity(pc400):
                           L.encode(a ^ b, pc400))
 
 
+def test_encode_batch_matches_rows(pc400):
+    rng = np.random.default_rng(5)
+    info = rng.integers(0, 2, (2, 3, pc400.m)).astype(np.uint8)
+    batch = L.encode(info, pc400)
+    assert batch.shape == (2, 3, pc400.n) and batch.dtype == np.uint8
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(batch[idx], L.encode(info[idx], pc400))
+    empty = L.encode(np.zeros((0, pc400.m), dtype=np.uint8), pc400)
+    assert empty.shape == (0, pc400.n)
+    for bad in (np.zeros(pc400.m - 1), np.zeros((2, pc400.m + 1)),
+                np.zeros((pc400.m, 2)), 0):
+        with pytest.raises(ValueError, match="info bits"):
+            L.encode(bad, pc400)
+
+
 def test_syndrome(pc400):
     assert L.syndrome_ok(np.zeros(pc400.n, dtype=np.uint8), pc400)
     cw = L.encode(np.ones(pc400.m, dtype=np.uint8), pc400)

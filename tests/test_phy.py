@@ -69,6 +69,25 @@ def test_inactive_users_silent(setup):
     assert not phy.superpose(cfg, truth2, graph).any()
 
 
+@pytest.mark.parametrize("mode,p_a", [
+    ("fixed", 0.3), ("bernoulli", 0.5), ("bernoulli", 1e-300)])
+def test_ground_truth_matches_per_user_draws(setup, mode, p_a):
+    # the bits of each active user, drawn and encoded one user at a time
+    _, pc, _ = setup
+    cfg = small_cfg(activity_mode=mode, p_a=p_a)
+    for trial in range(5):
+        truth = phy.make_ground_truth(cfg, pc, trial)
+        seed = P.mix(cfg.system_seed, trial)
+        rng = np.random.default_rng(P.mix(seed, phy._TAG_BITS))
+        info = np.zeros((cfg.K, cfg.m), dtype=np.uint8)
+        symbols = np.zeros((cfg.K, cfg.N))
+        for k in np.flatnonzero(truth.active):
+            info[k] = rng.integers(0, 2, cfg.m)
+            symbols[k] = L.bits_to_symbols(L.encode(info[k], pc))
+        assert np.array_equal(truth.info_bits, info)
+        assert np.array_equal(truth.symbols, symbols)
+
+
 def test_superposition_linearity(setup):
     cfg, pc, graph = setup
     truth = phy.make_ground_truth(cfg, pc, trial_index=2)
