@@ -196,11 +196,15 @@ def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> flo
 
 
 def _parse_value(key, raw):
+    """Parse one value; raises ValueError if it is malformed."""
     raw = raw.strip()
     if key == "racf":
         pairs = {}
         for item in raw.split(","):
-            d, p = item.split(":")
+            d, colon, p = item.partition(":")
+            if not colon:
+                raise ConfigError(f"expected `degree:probability`, got "
+                                  f"{item.strip()!r}")
             d = int(d)
             if d in pairs:
                 raise ConfigError(f"RACf degree {d} is given twice")
@@ -231,7 +235,10 @@ def read_config_file(path) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, raw = line.split("=", 1)
             key = key.strip()
-            fields[key] = _parse_value(key, raw)
+            try:
+                fields[key] = _parse_value(key, raw)
+            except ValueError as e:
+                raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
     prior_mean = fields.pop("prior_mean", None)
     prior_var = fields.pop("prior_var", None)
     if prior_mean is not None or prior_var is not None:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import de, ldpc, phy, receiver
-from .config import (SystemConfig, db_to_linear, noise_variance_for_snr,
-                     validate_config, validate_snr_db_grid)
+from .config import (ConfigError, SystemConfig, db_to_linear,
+                     noise_variance_for_snr, validate_config,
+                     validate_snr_db_grid)
 from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
@@ -33,7 +34,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def validate(self):
-        # the config monte_carlo and attach_de run, seeded by master_seed
+        if not isinstance(self.master_seed, (int, np.integer)):
+            raise ConfigError(f"master_seed = {self.master_seed!r} must be "
+                              "an integer")
+        # the config monte_carlo and attach_de run
         validate_config(dataclasses.replace(self.cfg,
                                             system_seed=self.master_seed))
         for name in ("trials", "workers"):

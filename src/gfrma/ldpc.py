@@ -188,23 +188,40 @@ def check_messages(v2c, lay: EdgeLayout):
     check. Returns the outgoing c2v array of the same shape. Matches
     cn_update edge by edge, with exact handling of zero inputs (tanh = 0
     annihilates the product on every other edge).
+
+    Magnitudes are summed in the log domain and signs multiplied as +/-1.0,
+    which is exact. An input with |tanh| < 1e-300 counts as a zero: it
+    takes log 1 = 0 and sign +1, and every other edge of its check gets
+    magnitude 0; that bookkeeping runs only when the batch holds a zero.
     """
     t = np.tanh(np.clip(v2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
     absr = np.abs(t)
+    sign = np.sign(t)
     iszero = absr < 1e-300
-    logt = np.where(iszero, 0.0, np.log(np.where(iszero, 1.0, absr)))
-    neg = ((t < 0) & ~iszero).astype(np.int64)
+    has_zero = iszero.any()
+    if has_zero:
+        absr[iszero] = 1.0
+        sign[iszero] = 1.0
+    logt = np.log(absr)
     sum_log = np.add.reduceat(logt, lay.chk_ptr, axis=-1)
-    n_zero = np.add.reduceat(iszero.astype(np.int64), lay.chk_ptr, axis=-1)
-    n_neg = np.add.reduceat(neg, lay.chk_ptr, axis=-1)
-    # expand per-check aggregates back onto edges
-    sum_log = np.repeat(sum_log, lay.chk_deg, axis=-1)
-    n_zero = np.repeat(n_zero, lay.chk_deg, axis=-1)
-    n_neg = np.repeat(n_neg, lay.chk_deg, axis=-1)
-    other_zero = n_zero - iszero
-    mag = np.exp(sum_log - logt)
-    mag = np.where(other_zero > 0, 0.0, np.minimum(mag, _TANH_CLAMP))
-    sign = 1.0 - 2.0 * ((n_neg - neg) % 2)
+    sign_prod = np.multiply.reduceat(sign, lay.chk_ptr, axis=-1)
+    # expand per-check aggregates back onto edges; the leave-one-out sign
+    # is the check's sign product times the edge's own sign
+    mag = np.exp(np.repeat(sum_log, lay.chk_deg, axis=-1) - logt)
+    np.minimum(mag, _TANH_CLAMP, out=mag)
+    if has_zero:
+        # each zero input silences every other edge of its check; zeros are
+        # rare, so only their checks are visited: idx runs over the flat
+        # indices of each zero's check, and the zero's own edge is left out
+        z = np.flatnonzero(iszero)
+        col = z % t.shape[-1]
+        chk = np.searchsorted(lay.chk_ptr, col, side="right") - 1
+        deg = lay.chk_deg[chk]
+        run_start = np.cumsum(deg) - deg
+        idx = np.arange(deg.sum()) + np.repeat(
+            z - col + lay.chk_ptr[chk] - run_start, deg)
+        np.put(mag, idx[idx != np.repeat(z, deg)], 0.0)
+    sign *= np.repeat(sign_prod, lay.chk_deg, axis=-1)
     return 2.0 * np.arctanh(sign * mag)
 
 

@@ -88,7 +88,10 @@ class AccessGraph:
     """Edge set of the tripartite (user-symbol)-RE graph, as flat arrays.
 
     One entry per edge: user index, symbol index within the user's codeword,
-    and RE index (all 0-based).
+    and RE index (all 0-based). Edges are grouped by user: edge_user is
+    non-decreasing, so np.repeat(x, user_edge_counts) expands a per-user
+    array x onto the edges, as x[edge_user] would. build_access_graph emits
+    edges in that order, and restricted_to keeps it.
     """
 
     K: int
@@ -103,9 +106,22 @@ class AccessGraph:
         return len(self.edge_user)
 
     @cached_property
+    def user_edge_counts(self):
+        """Per user: the number of edges, the length of the user's run of
+        consecutive edges."""
+        return np.bincount(self.edge_user, minlength=self.K)
+
+    @cached_property
     def has_edges(self):
         """Per user: True if the user has at least one edge."""
-        return np.bincount(self.edge_user, minlength=self.K) > 0
+        return self.user_edge_counts > 0
+
+    def restricted_to(self, users):
+        """The subgraph of the edges of the users where the bool mask
+        `users` is True, in their order here."""
+        keep = users[self.edge_user]
+        return AccessGraph(self.K, self.N, self.T, self.edge_user[keep],
+                           self.edge_sym[keep], self.edge_re[keep])
 
     @cached_property
     def edge_live_sym(self):

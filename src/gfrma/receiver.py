@@ -153,12 +153,12 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     y = np.asarray(received, dtype=float)
     if known_active is not None:
         known_active = np.asarray(known_active, dtype=bool)
-        keep = known_active[graph.edge_user]
-        graph = AccessGraph(graph.K, graph.N, graph.T,
-                            graph.edge_user[keep], graph.edge_sym[keep],
-                            graph.edge_re[keep])
+        graph = graph.restricted_to(known_active)
 
+    # edges are grouped by user, so repeating a per-user value by the
+    # user's edge count lays it onto the user's edges
     e_user = graph.edge_user
+    e_count = graph.user_edge_counts
     e_re = graph.edge_re
     y_e = y[e_re]
     # The LDPC step runs on the live users, those with edges, only. A user
@@ -186,9 +186,10 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     for n in range(1, cfg.max_iterations + 1):
         # (1) interference moments per edge, leave-one-out via RE aggregates
         q, mu_h, xi_h = state.q, state.mu_h, state.xi_h
-        term_mu = (q * mu_h)[e_user] * m_soft
+        term_mu = np.repeat(q * mu_h, e_count) * m_soft
         # per-edge variance term: q (mu^2 + xi) - q^2 mu^2 m^2
-        term_var = (q * (mu_h * mu_h + xi_h))[e_user] - term_mu ** 2
+        term_var = (np.repeat(q * (mu_h * mu_h + xi_h), e_count)
+                    - term_mu ** 2)
         S_mu = np.bincount(e_re, weights=term_mu, minlength=graph.T)
         S_var = np.bincount(e_re, weights=term_var, minlength=graph.T)
         mu_i = S_mu[e_re] - term_mu
@@ -196,8 +197,9 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         resid = y_e - mu_i
 
         # (2) RE -> symbol messages
-        r2v = np.clip((2.0 * mu_h)[e_user] * resid
-                      / (xi_h[e_user] + xi_i + xi_w), -LLR_CLAMP, LLR_CLAMP)
+        r2v = np.clip(np.repeat(2.0 * mu_h, e_count) * resid
+                      / (np.repeat(xi_h, e_count) + xi_i + xi_w),
+                      -LLR_CLAMP, LLR_CLAMP)
         state.r2v = r2v
         Lch = np.bincount(e_sym, weights=r2v,
                           minlength=n_live * pc.n).reshape(n_live, pc.n)

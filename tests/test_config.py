@@ -118,6 +118,17 @@ def test_config_file_bad_racf_degree(tmp_path, racf, match):
         C.read_config_file(p)
 
 
+@pytest.mark.parametrize("line,match", [
+    ("K = 3.5", r"bad\.cfg:2: K: .*'3\.5'"),
+    ("racf = 0:0.5,1", r"bad\.cfg:2: racf: .*degree:probability.*'1'"),
+], ids=["non-integer-K", "racf-pair-without-colon"])
+def test_config_file_parse_error_names_line_and_key(tmp_path, line, match):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"# header\n{line}\n")
+    with pytest.raises(C.ConfigError, match=match):
+        C.read_config_file(p)
+
+
 def test_config_file_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("bogus = 3\n")

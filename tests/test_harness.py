@@ -42,7 +42,7 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="finite"):
             small_spec(snr_db_grid=grid).validate()
     for seed in (1.5, float("nan"), "1"):
-        with pytest.raises(C.ConfigError, match="integer"):
+        with pytest.raises(C.ConfigError, match="master_seed"):
             small_spec(master_seed=seed).validate()
 
 

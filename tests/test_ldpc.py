@@ -192,6 +192,62 @@ def test_check_messages_matches_scalar():
             assert not np.signbit(out).any()
 
 
+def _check_messages_counting(v2c, lay):
+    """Integer-count form of the check update, the bit-exact reference for
+    L.check_messages: zero inputs and negative signs are counted per check
+    and the leave-one-out parity taken modulo 2."""
+    t = np.tanh(np.clip(v2c, -L.LLR_CLAMP, L.LLR_CLAMP) / 2.0)
+    absr = np.abs(t)
+    iszero = absr < 1e-300
+    logt = np.where(iszero, 0.0, np.log(np.where(iszero, 1.0, absr)))
+    neg = ((t < 0) & ~iszero).astype(np.int64)
+    sum_log = np.add.reduceat(logt, lay.chk_ptr, axis=-1)
+    n_zero = np.add.reduceat(iszero.astype(np.int64), lay.chk_ptr, axis=-1)
+    n_neg = np.add.reduceat(neg, lay.chk_ptr, axis=-1)
+    sum_log = np.repeat(sum_log, lay.chk_deg, axis=-1)
+    n_zero = np.repeat(n_zero, lay.chk_deg, axis=-1)
+    n_neg = np.repeat(n_neg, lay.chk_deg, axis=-1)
+    other_zero = n_zero - iszero
+    mag = np.exp(sum_log - logt)
+    mag = np.where(other_zero > 0, 0.0, np.minimum(mag, L._TANH_CLAMP))
+    sign = 1.0 - 2.0 * ((n_neg - neg) % 2)
+    return 2.0 * np.arctanh(sign * mag)
+
+
+# inputs the check update must treat exactly: signed zeros, subnormals whose
+# |tanh| is below 1e-300 (counted as zeros), values just above that bound,
+# and values at and beyond the clamp
+_EDGE_VALUES = np.array([0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324,
+                         3e-300, -3e-300, 30.0, -30.0, 31.0, -31.0, 1e9,
+                         -1e9, np.inf, -np.inf, 60.0, -45.0])
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4)],
+                         ids=["1d", "batch3", "batch2x4"])
+def test_check_messages_matches_counting_form(shape):
+    rng = np.random.default_rng(21)
+    deg = rng.integers(2, 9, 40)
+    lay = L.EdgeLayout(int(deg.sum()), np.arange(deg.sum()),
+                       np.concatenate([[0], np.cumsum(deg[:-1])]), deg)
+    ptr = lay.chk_ptr
+    for trial in range(60):
+        v2c = rng.normal(0, 6, shape + (int(deg.sum()),))
+        if trial % 6:
+            # per check: no, one, or two or more special values, which are
+            # exact zeros in every third check
+            flat = v2c.reshape(-1, v2c.shape[-1])
+            for row in flat:
+                for c, d in enumerate(deg):
+                    k = rng.integers(0, min(d, 4) + 1)
+                    at = ptr[c] + rng.choice(d, k, replace=False)
+                    pool = _EDGE_VALUES[:2] if c % 3 == 0 else _EDGE_VALUES
+                    row[at] = rng.choice(pool, k)
+        want = _check_messages_counting(v2c, lay)
+        got = L.check_messages(v2c, lay)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_noiseless_decode(pc400):
     rng = np.random.default_rng(5)
     info = rng.integers(0, 2, pc400.m).astype(np.uint8)

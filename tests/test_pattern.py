@@ -84,6 +84,33 @@ def test_three_view_consistency():
     assert len(np.unique(edges, axis=0)) == g.n_edges   # no duplicate edges
 
 
+@pytest.mark.parametrize("cfg", [
+    small_cfg(),
+    small_cfg(K=47, T=3000),
+    # T = 4: most users draw no edge at all
+    small_cfg(K=30, T=4),
+], ids=["small", "partial-block", "sparse"])
+def test_edges_grouped_by_user(cfg):
+    # the receiver expands per-user values onto edges by np.repeat over
+    # user_edge_counts, which holds only while edge_user is non-decreasing
+    g = P.build_access_graph(cfg)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=cfg.K)
+    for mask in (rng.random(cfg.K) < 0.5, np.zeros(cfg.K, dtype=bool),
+                 np.ones(cfg.K, dtype=bool)):
+        sub = g.restricted_to(mask)
+        keep = mask[g.edge_user]
+        for got, col in zip((sub.edge_user, sub.edge_sym, sub.edge_re),
+                            (g.edge_user, g.edge_sym, g.edge_re)):
+            assert np.array_equal(got, col[keep])
+        for graph in (g, sub):
+            assert np.all(np.diff(graph.edge_user) >= 0)
+            assert np.array_equal(np.repeat(x, graph.user_edge_counts),
+                                  x[graph.edge_user])
+            assert np.array_equal(graph.has_edges,
+                                  graph.user_edge_counts > 0)
+
+
 def test_edge_count_concentration():
     cfg = small_cfg(K=30, m=120, T=2000)
     g = P.build_access_graph(cfg)

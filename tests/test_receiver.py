@@ -303,21 +303,27 @@ def test_empty_graph_keeps_prior_activity():
 GOLDEN_DIGEST = (
     "9496e33e95478c40daedd36e0d670eb226cb6d5695b0d329751961eaffe74dd1")
 
+# the same digest for one PAPER_CONFIG grant-free trial, as the decoder
+# produced it before the sign-product check update. PAPER puts about 11% of
+# symbols on no RE, so exact zeros reach the check update in every
+# iteration, which the DESK digest barely exercises
+PAPER_GOLDEN_DIGEST = (
+    "d7227506a4953d212031964b15a2779517669809f8bfb12dfa61b5b3b2a7b4f9")
 
-def _outcome_digest():
-    """sha256 over run_trial outcomes at DESK_CONFIG, master seed 1: every
-    mode, -7.0 and -5.5 dB, trials 0 and 1, at full float precision."""
-    base = dataclasses.replace(H.DESK_CONFIG, system_seed=1)
+
+def _outcome_digest(base, modes, snr_dbs, trials):
+    """sha256 over run_trial outcomes at every (mode, SNR, trial), at full
+    float precision, with the code and graph built from base."""
     pc = L.construct_parity_check(base.m, base.code_rate, base.d_v,
                                   base.system_seed)
     graph = P.build_access_graph(base)
     gains = H.expected_active_gains(base)
     h = hashlib.sha256()
-    for mode in H.MODES:
-        for snr_db in (-7.0, -5.5):
+    for mode in modes:
+        for snr_db in snr_dbs:
             cfg = base.with_noise_variance(C.noise_variance_for_snr(
                 base, C.db_to_linear(snr_db), gains))
-            for trial in (0, 1):
+            for trial in trials:
                 _, out = H.run_trial(cfg, pc, graph, trial, mode)
                 for arr in (out.decoded_bits, out.syndrome_pass,
                             out.declared, out.q, out.mu_h, out.xi_h):
@@ -329,7 +335,18 @@ def _outcome_digest():
 
 
 def test_golden_decode_digest():
-    assert _outcome_digest() == GOLDEN_DIGEST
+    # DESK_CONFIG, master seed 1: every mode, -7.0 and -5.5 dB, trials 0, 1
+    base = dataclasses.replace(H.DESK_CONFIG, system_seed=1)
+    assert _outcome_digest(base, H.MODES, (-7.0, -5.5),
+                           (0, 1)) == GOLDEN_DIGEST
+
+
+def test_paper_golden_decode_digest():
+    # PAPER_CONFIG, master seed 1, 10 iterations: grant-free, 2 dB, trial 0
+    base = dataclasses.replace(H.PAPER_CONFIG, system_seed=1,
+                               max_iterations=10)
+    assert _outcome_digest(base, ("grant-free",), (2.0,),
+                           (0,)) == PAPER_GOLDEN_DIGEST
 
 
 def test_registration_without_actives():
