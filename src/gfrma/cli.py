@@ -17,22 +17,33 @@ def _load_config(args) -> SystemConfig:
     return validate_config(cfg)
 
 
-def _add_common(p):
+def _snr_grid(args):
+    return tuple(float(x) for x in args.snr_db.split(","))
+
+
+def _add_options(p, snr=False, run=False, out=False):
+    """--config and --seed, plus the groups the subcommand reads."""
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--snr-db", default="6",
-                   help="comma-separated SNR grid in dB")
-    p.add_argument("--mode", default="grant-free",
-                   choices=["grant-free", "registration", "genie-csi"])
-    p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    if snr:
+        p.add_argument("--snr-db", default="6",
+                       help="comma-separated SNR grid in dB")
+    if run:
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--mode", default="grant-free",
+                       choices=harness.MODES)
+        p.add_argument("--workers", type=int, default=1)
+    if out:
+        p.add_argument("--out", default=None)
 
 
 def cmd_sim(args):
     cfg = _load_config(args)
-    snr_db = float(args.snr_db.split(",")[0])
-    spec = harness.ExperimentSpec(cfg, (snr_db,), trials=args.trials,
+    grid = _snr_grid(args)
+    if len(grid) != 1:
+        raise ConfigError(f"sim runs one SNR point, got {len(grid)}; "
+                          "use sweep for a grid")
+    spec = harness.ExperimentSpec(cfg, grid, trials=args.trials,
                                   mode=args.mode,
                                   master_seed=cfg.system_seed,
                                   workers=args.workers)
@@ -46,7 +57,7 @@ def cmd_sim(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    grid = tuple(float(x) for x in args.snr_db.split(","))
+    grid = _snr_grid(args)
     spec = harness.ExperimentSpec(cfg, grid, trials=args.trials,
                                   mode=args.mode,
                                   master_seed=cfg.system_seed,
@@ -62,8 +73,7 @@ def cmd_sweep(args):
 
 def cmd_de(args):
     cfg = _load_config(args)
-    grid = validate_snr_db_grid(
-        tuple(float(x) for x in args.snr_db.split(",")))
+    grid = validate_snr_db_grid(_snr_grid(args))
     gains = harness.expected_active_gains(cfg)
     gamma_th = de.threshold_search(cfg, gains)
     out = args.out or "de.csv"
@@ -87,10 +97,13 @@ def main(argv=None):
         prog="gfrma",
         description="Grant-free rateless multiple access simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("sim", cmd_sim), ("sweep", cmd_sweep),
-                     ("de", cmd_de), ("graph-dump", cmd_graph_dump)):
+    for name, fn, groups in (
+            ("sim", cmd_sim, dict(snr=True, run=True)),
+            ("sweep", cmd_sweep, dict(snr=True, run=True, out=True)),
+            ("de", cmd_de, dict(snr=True, out=True)),
+            ("graph-dump", cmd_graph_dump, dict(out=True))):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_options(p, **groups)
         if name == "sweep":
             p.add_argument("--with-de", action="store_true",
                            help="append converged-MI column from DE")

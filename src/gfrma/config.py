@@ -144,6 +144,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError("activity_threshold must be in (0, 1)")
     if not (_is_int(cfg.d_v) and cfg.d_v >= 2):
         raise ConfigError("d_v must be an integer >= 2")
+    if cfg.d_v > cfg.N - cfg.m:
+        raise ConfigError(f"d_v = {cfg.d_v} exceeds the N - m = "
+                          f"{cfg.N - cfg.m} parity checks")
     if not _is_int(cfg.system_seed):
         raise ConfigError(f"system_seed = {cfg.system_seed!r} must be an "
                           "integer")
@@ -242,9 +245,10 @@ def read_config_file(path) -> SystemConfig:
     prior_mean = fields.pop("prior_mean", None)
     prior_var = fields.pop("prior_var", None)
     if prior_mean is not None or prior_var is not None:
+        default = ChannelPrior()
         fields["prior"] = ChannelPrior(
-            mean=prior_mean if prior_mean is not None else 1.0,
-            var=prior_var if prior_var is not None else 10.0,
+            mean=prior_mean if prior_mean is not None else default.mean,
+            var=prior_var if prior_var is not None else default.var,
         )
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = set(fields) - known

@@ -43,10 +43,10 @@ class ExperimentSpec:
         for name in ("trials", "workers"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ValueError(f"{name} = {v!r} must be an integer >= 1")
+                raise ConfigError(f"{name} = {v!r} must be an integer >= 1")
         validate_snr_db_grid(self.snr_db_grid)
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         return self
 
 

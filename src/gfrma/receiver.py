@@ -103,18 +103,6 @@ def activity_posterior(mu_h, xi_h, prior_mean, prior_var, p_a):
 # full joint decoder
 
 @dataclass
-class BeliefState:
-    """The joint decoder's per-edge and per-user beliefs at one iteration."""
-
-    v2r: np.ndarray      # LLR per access-graph edge, symbol -> RE
-    r2v: np.ndarray      # LLR per access-graph edge, RE -> symbol
-    mu_h: np.ndarray     # per-user channel mean estimate
-    xi_h: np.ndarray     # per-user channel variance estimate
-    q: np.ndarray        # per-user activity posterior
-    iteration: int = 0
-
-
-@dataclass
 class TrialOutcome:
     decoded_bits: np.ndarray      # (K, m); meaningful only for declared users
     syndrome_pass: np.ndarray     # bool per user
@@ -126,26 +114,15 @@ class TrialOutcome:
     converged: str = "max_iterations"
 
 
-def initial_state(cfg: SystemConfig, graph: AccessGraph):
-    return BeliefState(
-        v2r=np.zeros(graph.n_edges),
-        r2v=np.zeros(graph.n_edges),
-        mu_h=np.full(cfg.K, cfg.prior.mean),
-        xi_h=np.full(cfg.K, cfg.prior.var),
-        q=np.full(cfg.K, cfg.p_a),
-    )
-
-
 def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
-                 pc: ldpc.ParityCheck, known_active=None, pinned_csi=None,
-                 collect_states=None) -> TrialOutcome:
+                 pc: ldpc.ParityCheck, known_active=None,
+                 pinned_csi=None) -> TrialOutcome:
     """Run the full joint iteration on one received block.
 
     known_active: bool mask for the registration-based baseline; users known
     inactive are removed from the graph and actives have q pinned to 1.
     pinned_csi: (gains, variance) for the genie baseline; channel estimates
     are pinned instead of estimated.
-    collect_states: optional list collecting a BeliefState copy per iteration.
 
     Stops when every declared user passes its syndrome, when no posterior
     LLR moves by more than STALL_TOL, or after cfg.max_iterations.
@@ -170,13 +147,18 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     xi_w = cfg.noise_variance
     prior = cfg.prior
 
-    state = initial_state(cfg, graph)
-    if known_active is not None:
-        state.q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
-    if pinned_csi is not None:
+    if known_active is None:
+        q = np.full(cfg.K, cfg.p_a)
+    else:
+        q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
+    if pinned_csi is None:
+        mu_h = np.full(cfg.K, prior.mean)
+        xi_h = np.full(cfg.K, prior.var)
+    else:
         gains, var = pinned_csi
-        state.mu_h = np.asarray(gains, dtype=float).copy()
-        state.xi_h = np.full(cfg.K, var)
+        # a copy, so the outcome never aliases the caller's gains
+        mu_h = np.asarray(gains, dtype=float).copy()
+        xi_h = np.full(cfg.K, var)
 
     c2v = np.zeros((n_live, len(pc.layout.edge_var)))
     c2v_sum = np.zeros((n_live, pc.n))
@@ -185,7 +167,6 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     converged = "max_iterations"
     for n in range(1, cfg.max_iterations + 1):
         # (1) interference moments per edge, leave-one-out via RE aggregates
-        q, mu_h, xi_h = state.q, state.mu_h, state.xi_h
         term_mu = np.repeat(q * mu_h, e_count) * m_soft
         # per-edge variance term: q (mu^2 + xi) - q^2 mu^2 m^2
         term_var = (np.repeat(q * (mu_h * mu_h + xi_h), e_count)
@@ -200,7 +181,6 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         r2v = np.clip(np.repeat(2.0 * mu_h, e_count) * resid
                       / (np.repeat(xi_h, e_count) + xi_i + xi_w),
                       -LLR_CLAMP, LLR_CLAMP)
-        state.r2v = r2v
         Lch = np.bincount(e_sym, weights=r2v,
                           minlength=n_live * pc.n).reshape(n_live, pc.n)
 
@@ -208,9 +188,8 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         prev_total = total
         c2v, c2v_sum, total = ldpc.flood(Lch, c2v, c2v_sum, pc)
         # extrinsic symbol -> RE messages
-        state.v2r = np.clip(total.reshape(-1)[e_sym] - r2v,
-                            -LLR_CLAMP, LLR_CLAMP)
-        m_soft = np.tanh(state.v2r / 2.0)
+        v2r = np.clip(total.reshape(-1)[e_sym] - r2v, -LLR_CLAMP, LLR_CLAMP)
+        m_soft = np.tanh(v2r / 2.0)
 
         # (4) symbol-wise channel estimates, fused per user
         if pinned_csi is None:
@@ -220,23 +199,18 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
             W = np.bincount(e_user, weights=w, minlength=cfg.K)
             WM = np.bincount(e_user, weights=wm, minlength=cfg.K)
             prec = W + 1.0 / prior.var
-            state.mu_h = (WM + prior.mean / prior.var) / prec
-            state.xi_h = 1.0 / prec
+            mu_h = (WM + prior.mean / prior.var) / prec
+            xi_h = 1.0 / prec
 
         # (5) activity posteriors
         # users with no edges have no evidence and keep the prior activity
         if known_active is None:
-            q_new = _activity_posterior_vec(state.mu_h, state.xi_h,
-                                            prior.mean, prior.var, cfg.p_a)
-            state.q = np.where(graph.has_edges, q_new, state.q)
-        state.iteration = n
-        if collect_states is not None:
-            collect_states.append(BeliefState(
-                state.v2r.copy(), state.r2v.copy(), state.mu_h.copy(),
-                state.xi_h.copy(), state.q.copy(), n))
+            q_new = _activity_posterior_vec(mu_h, xi_h, prior.mean,
+                                            prior.var, cfg.p_a)
+            q = np.where(graph.has_edges, q_new, q)
 
         hard = (total < 0).astype(np.uint8)
-        declared = state.q > cfg.activity_threshold
+        declared = q > cfg.activity_threshold
         if (declared.any()
                 and ldpc.syndrome_ok(hard[declared[live]], pc).all()):
             converged = "all_declared_decoded"
@@ -253,10 +227,10 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         decoded_bits=bits[:, :pc.m],
         syndrome_pass=ldpc.syndrome_ok(bits, pc),
         declared=declared,
-        q=state.q,
-        mu_h=state.mu_h,
-        xi_h=state.xi_h,
-        iterations=state.iteration,
+        q=q,
+        mu_h=mu_h,
+        xi_h=xi_h,
+        iterations=n,
         converged=converged,
     )
 

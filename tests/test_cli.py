@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gfrma import cli
 
@@ -66,5 +67,24 @@ def test_bad_config_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("bogus = 1\n")
     rc = cli.main(["sim", "--config", str(p)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, K=3, T=100)
+    for argv in (["graph-dump", "--config", cfg, "--trials", "5"],
+                 ["sim", "--config", cfg, "--out", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sim_rejects_snr_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    rc = cli.main(["sim", "--config", cfg, "--trials", "1",
+                   "--snr-db=-5,-4"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gfrma import config as C
+from gfrma.harness import DESK_CONFIG
 
 
 def paper_like_config(**kw):
@@ -86,6 +89,16 @@ def test_d_max_exceeding_n_rejected():
         C.validate_config(paper_like_config(racf=racf))
 
 
+def test_d_v_exceeding_parity_checks_rejected():
+    # DESK has N - m = 80 checks
+    n_checks = DESK_CONFIG.N - DESK_CONFIG.m
+    cfg = dataclasses.replace(DESK_CONFIG, d_v=n_checks)
+    assert C.validate_config(cfg) is cfg
+    for d_v in (n_checks + 1, 100):
+        with pytest.raises(C.ConfigError, match="d_v"):
+            C.validate_config(dataclasses.replace(DESK_CONFIG, d_v=d_v))
+
+
 def test_config_file_round_trip(tmp_path):
     p = tmp_path / "sys.cfg"
     p.write_text(
@@ -105,6 +118,16 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.K == 100 and cfg.N == 400 and cfg.system_seed == 7
     assert cfg.racf == C.DEFAULT_RACF
     assert cfg.prior == C.ChannelPrior(1.0, 10.0)
+
+
+def test_config_file_one_prior_field_keeps_default_other(tmp_path):
+    p = tmp_path / "sys.cfg"
+    p.write_text("prior_var = 4\n")
+    assert C.read_config_file(p).prior == C.ChannelPrior(
+        C.ChannelPrior().mean, 4.0)
+    p.write_text("prior_mean = 2\n")
+    assert C.read_config_file(p).prior == C.ChannelPrior(
+        2.0, C.ChannelPrior().var)
 
 
 @pytest.mark.parametrize("racf,match", [

@@ -26,16 +26,16 @@ def small_spec(**kw):
 
 def test_spec_validation():
     small_spec().validate()
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(C.ConfigError, match="trials"):
         small_spec(trials=0).validate()
     with pytest.raises(ValueError, match="non-empty"):
         small_spec(snr_db_grid=()).validate()
-    with pytest.raises(ValueError, match="mode"):
+    with pytest.raises(C.ConfigError, match="mode"):
         small_spec(mode="psychic").validate()
     for workers in (0, -3, 1.5):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(C.ConfigError, match="workers"):
             small_spec(workers=workers).validate()
-    with pytest.raises(ValueError, match="trials"):
+    with pytest.raises(C.ConfigError, match="trials"):
         small_spec(trials=1.5).validate()
     # NaN, and dB values whose linear SNR overflows to inf or underflows to 0
     for grid in ((0.0, float("nan")), (4000.0,), (-4000.0,)):

@@ -192,47 +192,68 @@ def tiny():
     return cfg, pc, graph
 
 
-def test_vectorized_first_iteration_matches_scalar(tiny):
+def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
     cfg, pc, graph = tiny
     truth = phy.make_ground_truth(cfg, pc, trial_index=0)
     y = phy.superpose(cfg, truth, graph)
-    states = []
-    cfg1 = dataclasses.replace(cfg, max_iterations=1)
-    R.joint_decode(cfg1, y, graph, pc, collect_states=states)
-    st = states[0]
+    calls = []
+    flood = L.flood
 
-    # scalar recomputation of the first-iteration REN -> VN messages from
-    # the initial state (v2r = 0, q = p_a, channel estimate = prior)
+    def recording_flood(Lch, c2v, c2v_sum, pc):
+        c2v, c2v_sum, total = flood(Lch, c2v, c2v_sum, pc)
+        calls.append((Lch.copy(), total.copy()))
+        return c2v, c2v_sum, total
+
+    monkeypatch.setattr(L, "flood", recording_flood)
+    out = R.joint_decode(dataclasses.replace(cfg, max_iterations=1), y,
+                         graph, pc)
+    assert len(calls) == 1
+    Lch, total = calls[0]
+
+    # scalar first-iteration REN -> VN messages from the initial beliefs
+    # (v2r = 0, q = p_a, channel estimate = prior), with the interference
+    # moments each edge sees
+    r2v = np.zeros(graph.n_edges)
+    moments = []
     for e in range(graph.n_edges):
         t = graph.edge_re[e]
-        contribs = []
-        for e2 in np.flatnonzero(graph.edge_re == t):
-            if e2 == e:
-                continue
-            contribs.append((cfg.p_a, cfg.prior.mean, cfg.prior.var, 0.0))
+        contribs = [(cfg.p_a, cfg.prior.mean, cfg.prior.var, 0.0)
+                    for e2 in np.flatnonzero(graph.edge_re == t) if e2 != e]
         mu_i, xi_i = R.interference_moments(contribs)
-        ref = R.ren_to_vn(cfg.prior.mean, cfg.prior.var, y[t], mu_i, xi_i,
-                          cfg.noise_variance)
-        assert st.r2v[e] == pytest.approx(ref, abs=1e-9)
+        moments.append((mu_i, xi_i))
+        r2v[e] = R.ren_to_vn(cfg.prior.mean, cfg.prior.var, y[t], mu_i,
+                             xi_i, cfg.noise_variance)
 
-    # scalar recomputation of the per-user channel fusion from the decoder's
-    # own extrinsic messages and the same first-iteration moments
+    # the LDPC step's channel LLRs: per live user and symbol, the sum of
+    # the symbol's RE messages
+    live = np.flatnonzero(graph.has_edges)
+    assert Lch.shape == total.shape == (len(live), pc.n)
+    for row, k in enumerate(live):
+        for j in range(pc.n):
+            edges = np.flatnonzero((graph.edge_user == k)
+                                   & (graph.edge_sym == j))
+            assert Lch[row, j] == pytest.approx(R.vn_total(r2v[edges]),
+                                                abs=1e-9)
+
+    # extrinsic symbol -> RE messages: posterior minus the edge's own message
+    row_of = np.full(cfg.K, -1)
+    row_of[live] = np.arange(len(live))
+    v2r = np.clip(total[row_of[graph.edge_user], graph.edge_sym] - r2v,
+                  -R.LLR_CLAMP, R.LLR_CLAMP)
+
+    # scalar per-user channel fusion and activity from those messages
     for k in range(cfg.K):
         pairs = []
         for e in np.flatnonzero(graph.edge_user == k):
-            t = graph.edge_re[e]
-            contribs = [(cfg.p_a, cfg.prior.mean, cfg.prior.var, 0.0)
-                        for e2 in np.flatnonzero(graph.edge_re == t)
-                        if e2 != e]
-            mu_i, xi_i = R.interference_moments(contribs)
+            mu_i, xi_i = moments[e]
             pairs.append(R.channel_edge_estimate(
-                st.v2r[e], y[t], mu_i, xi_i, cfg.noise_variance))
+                v2r[e], y[graph.edge_re[e]], mu_i, xi_i, cfg.noise_variance))
         mu, xi = R.usn_combine(pairs, cfg.prior.mean, cfg.prior.var)
-        assert st.mu_h[k] == pytest.approx(mu, abs=1e-9)
-        assert st.xi_h[k] == pytest.approx(xi, abs=1e-9)
+        assert out.mu_h[k] == pytest.approx(mu, abs=1e-9)
+        assert out.xi_h[k] == pytest.approx(xi, abs=1e-9)
         ref_q = R.activity_posterior(mu, xi, cfg.prior.mean, cfg.prior.var,
                                      cfg.p_a)
-        assert st.q[k] == pytest.approx(ref_q, abs=1e-9)
+        assert out.q[k] == pytest.approx(ref_q, abs=1e-9)
 
 
 def test_single_user_genie_prior_decodes():
