@@ -44,9 +44,8 @@ print("\nterminated after", outcome.iterations, "iterations:",
       outcome.converged)
 for k in active:
     bits_ok = np.array_equal(outcome.decoded_bits[k], truth.info_bits[k])
-    print("user %2d: declared %s, syndrome %s, bits %s, gain %.3f vs "
-          "estimate %.3f" % (k, outcome.declared[k], outcome.syndrome_pass[k],
-                             "ok" if bits_ok else "WRONG",
-                             truth.gains[k], outcome.mu_h[k]))
+    print("user %2d: declared %s, bits %s, gain %.3f vs estimate %.3f"
+          % (k, outcome.declared[k], "ok" if bits_ok else "WRONG",
+             truth.gains[k], outcome.mu_h[k]))
 fa = np.flatnonzero(outcome.declared & ~truth.active)
 print("false alarms:", fa.tolist() if len(fa) else "none")

@@ -1,7 +1,7 @@
 """System configuration, validation, and scalar link metrics.
 
-All SNR values are stored linear internally; use db_to_linear / linear_to_db
-at the boundaries.
+All SNR values are stored linear internally; db_to_linear converts the dB
+values given at the boundaries.
 """
 from __future__ import annotations
 
@@ -18,10 +18,6 @@ class ConfigError(ValueError):
 
 def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
 
 
 @dataclass(frozen=True)
@@ -147,9 +143,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if cfg.d_v > cfg.N - cfg.m:
         raise ConfigError(f"d_v = {cfg.d_v} exceeds the N - m = "
                           f"{cfg.N - cfg.m} parity checks")
-    if not _is_int(cfg.system_seed):
+    if not (_is_int(cfg.system_seed) and cfg.system_seed >= 0):
         raise ConfigError(f"system_seed = {cfg.system_seed!r} must be an "
-                          "integer")
+                          "integer >= 0")
     if cfg.activity_mode not in ("fixed", "bernoulli"):
         raise ConfigError(f"unknown activity_mode {cfg.activity_mode!r}")
     return cfg

@@ -5,15 +5,16 @@ J-function (MI of a symmetric Gaussian LLR as a function of its standard
 deviation), with the channel-estimate uncertainty folded in by averaging
 the MI over a truncated Gaussian model of the estimated gain.
 
-The DE recursion reads J, J^-1 and Omega from monotone-spline tables built
-once per process (_Tables): J and Omega are evaluated on fixed grids by one
-200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the inverse
-table. j_function, j_inverse and omega are the adaptive-quadrature forms of
-the same operations, kept as the reference the tables are tested against
-(J to ~1e-8, Omega to ~1e-6, far below the threshold tolerance).
+The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
+_tables() builds once per process: J and Omega are evaluated on fixed grids
+by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
+inverse table. j_function, j_inverse and omega are the adaptive-quadrature
+forms of the same operations, kept as the reference the tables are tested
+against (J to ~1e-8, Omega to ~1e-6, far below the threshold tolerance).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ _GL_MASS = 8.0 * _GL_WEIGHTS * np.exp(-_GL_Z ** 2 / 2.0) \
     / math.sqrt(2.0 * math.pi)
 # initial threshold_search bracket (dB), widened until it straddles
 _BRACKET_DB = (-10.0, 20.0)
+# threshold_search gives up (returns +inf) if DE fails at this SNR (dB)
+_GAMMA_MAX_DB = 40.0
 
 
 def j_function(x):
@@ -97,18 +100,13 @@ def _gauss_mean(f, s):
 
 
 class _Tables:
-    """Lazily built spline tables for the DE hot path.
+    """Spline tables for the DE hot path, built once by _tables().
 
     J and Omega are evaluated on fixed grids by one Gauss-Hermite rule;
     Omega takes its s = J^-1(I) from the inverse-J table.
     """
 
     def __init__(self):
-        self._j = None
-        self._j_inv = None
-        self._omega = None
-
-    def build(self):
         x = np.concatenate([np.linspace(0.0, 12.0, 1200),
                             np.linspace(12.02, _X_MAX, 400)])
         jv = 1.0 - _gauss_mean(lambda v: np.logaddexp(0.0, -v), x) \
@@ -124,24 +122,21 @@ class _Tables:
         self._omega = interpolate.PchipInterpolator(iv, ov)
 
     def j(self, x):
-        if self._j is None:
-            self.build()
         return np.clip(self._j(np.minimum(x, _X_MAX)), 0.0, 1.0)
 
     def j_inv(self, mi):
-        if self._j is None:
-            self.build()
         return self._j_inv(np.clip(mi, 0.0, self._j_max))
 
     def omega(self, mi):
-        if self._j is None:
-            self.build()
         mi = np.asarray(mi, dtype=float)
         return np.where(mi >= 0.9995, 1.0 - (1.0 - mi) * 1e-9,
                         np.clip(self._omega(np.minimum(mi, 0.9995)), 0.0, 1.0))
 
 
-_tables = _Tables()
+@functools.cache
+def _tables() -> _Tables:
+    """The process's one _Tables, built on first use."""
+    return _Tables()
 
 
 def omega(mi):
@@ -196,12 +191,13 @@ def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
     mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
                        + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
                        0.0)
-    i_vc = _tables.j(np.sqrt(2.0 * mu_vc))
-    x_rev = _tables.j_inv(1.0 - i_vc)
+    tab = _tables()
+    i_vc = tab.j(np.sqrt(2.0 * mu_vc))
+    x_rev = tab.j_inv(1.0 - i_vc)
     i_cv = np.zeros_like(np.asarray(mu_vc, dtype=float))
     for dc, frac in dc_profile:
-        i_cv = i_cv + frac * (1.0 - _tables.j(math.sqrt(dc - 1) * x_rev))
-    return _tables.j_inv(np.clip(i_cv, 0.0, 1.0)) ** 2 / 2.0
+        i_cv = i_cv + frac * (1.0 - tab.j(math.sqrt(dc - 1) * x_rev))
+    return tab.j_inv(np.clip(i_cv, 0.0, 1.0)) ** 2 / 2.0
 
 
 def de_interference_variance(active_gains, racf, mi, xi_h):
@@ -212,7 +208,7 @@ def de_interference_variance(active_gains, racf, mi, xi_h):
     """
     g = np.asarray(active_gains, dtype=float)
     ed = racf_mean_degree(racf)
-    om = _tables.omega(np.asarray(mi, dtype=float))
+    om = _tables().omega(np.asarray(mi, dtype=float))
     return float(np.sum(ed * ((g * g + np.asarray(xi_h)) - g * g * om)))
 
 
@@ -223,8 +219,8 @@ def de_channel_variance(racf, T, xi_s, xi_w, prior_var, mi):
     fused with the prior precision.
     """
     ed = racf_mean_degree(racf)
-    prec = T * ed * _tables.omega(np.asarray(mi, dtype=float)) / (xi_s + xi_w) \
-        + 1.0 / prior_var
+    om = _tables().omega(np.asarray(mi, dtype=float))
+    prec = T * ed * om / (xi_s + xi_w) + 1.0 / prior_var
     return 1.0 / prec
 
 
@@ -266,7 +262,8 @@ def mi_step(state: DeState, cfg: SystemConfig, active_gains) -> DeState:
     mu = g[:, None] + np.sqrt(state.xi_h)[:, None] * _GL_Z
     mu_l = np.maximum(l1(g[:, None], ed, cfg.T, cfg.N, mu, xi_total), 0.0)
     mu_cv = l2(mu_l, cfg.d_v, dc_prof, state.mu_c2v[:, None])
-    jvals = _tables.j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv, 0.0)))
+    jvals = _tables().j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv,
+                                                  0.0)))
     mi_new = np.clip(jvals @ _GL_MASS, 0.0, 1.0)
     mu_c2v_new = (mu_cv @ _GL_MASS) / _GL_MASS.sum()
     xi_s_new = de_interference_variance(g, cfg.racf, mi_new, state.xi_h)
@@ -303,16 +300,15 @@ def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
     return bool(np.all(final.mi > _MI_CONVERGED))
 
 
-def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05,
-                     gamma_max_db=40.0):
+def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
     """Bisection for the threshold SNR (dB) above which DE converges.
 
-    Returns the threshold in dB, or +inf if no success below gamma_max_db.
+    Returns the threshold in dB, or +inf if no success below _GAMMA_MAX_DB.
     The initial bracket is auto-expanded until it straddles the threshold.
     """
-    if not de_converges(cfg, active_gains, db_to_linear(gamma_max_db)):
+    if not de_converges(cfg, active_gains, db_to_linear(_GAMMA_MAX_DB)):
         return float("inf")
-    lo, hi = _BRACKET_DB[0], min(_BRACKET_DB[1], gamma_max_db)
+    lo, hi = _BRACKET_DB
     while de_converges(cfg, active_gains, db_to_linear(lo)):
         hi = lo
         lo -= 10.0
@@ -320,7 +316,7 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05,
             return lo
     while not de_converges(cfg, active_gains, db_to_linear(hi)):
         lo = hi
-        hi = min(hi + 5.0, gamma_max_db)
+        hi = min(hi + 5.0, _GAMMA_MAX_DB)
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
         if de_converges(cfg, active_gains, db_to_linear(mid)):

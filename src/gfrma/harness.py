@@ -34,9 +34,10 @@ class ExperimentSpec:
     workers: int = 1
 
     def validate(self):
-        if not isinstance(self.master_seed, (int, np.integer)):
+        if not (isinstance(self.master_seed, (int, np.integer))
+                and self.master_seed >= 0):
             raise ConfigError(f"master_seed = {self.master_seed!r} must be "
-                              "an integer")
+                              "an integer >= 0")
         # the config monte_carlo and attach_de run
         validate_config(dataclasses.replace(self.cfg,
                                             system_seed=self.master_seed))

@@ -7,7 +7,6 @@ subtree so short cycles only appear when unavoidable.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,10 +34,6 @@ class ParityCheck:
     @property
     def n_checks(self):
         return self.n - self.m
-
-    @property
-    def check_degrees(self):
-        return [len(c) for c in self.chk_vars]
 
     @cached_property
     def layout(self) -> EdgeLayout:
@@ -229,35 +224,18 @@ def check_messages(v2c, lay: EdgeLayout):
 class EdgeLayout:
     """Flat edge indexing of a ParityCheck for vectorized message passing."""
 
-    n: int                 # variables
     edge_var: np.ndarray   # variable of each edge (sorted by check)
     chk_ptr: np.ndarray    # reduceat offsets per check
     chk_deg: np.ndarray    # edges per check, to expand per-check values
-    # bin row * n + variable of each edge of stacked words; grown on demand
-    _var_bins: np.ndarray = field(
-        repr=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
+    var_edges: np.ndarray  # (d_v, n): column v lists v's edges in check order
 
     @classmethod
     def from_code(cls, pc: ParityCheck):
-        deg = np.array(pc.check_degrees)
-        ptr = np.cumsum([0] + pc.check_degrees[:-1])
-        return cls(pc.n, np.concatenate(pc.chk_vars), ptr, deg)
-
-    def var_bins(self, rows):
-        """Bin of every edge of `rows` stacked words, row-major: (rows*E,)."""
-        n_edges = len(self.edge_var)
-        if len(self._var_bins) < rows * n_edges:
-            self._var_bins = (np.arange(rows)[:, None] * self.n
-                              + self.edge_var).ravel()
-        return self._var_bins[:rows * n_edges]
-
-
-def _sum_per_var(c2v, lay: EdgeLayout):
-    """Sum edge messages of shape (..., E) onto their variables: (..., n)."""
-    batch = c2v.shape[:-1]
-    rows = math.prod(batch)
-    return np.bincount(lay.var_bins(rows), weights=c2v.ravel(),
-                       minlength=rows * lay.n).reshape(*batch, lay.n)
+        edge_var = np.concatenate(pc.chk_vars)
+        deg = np.array([len(c) for c in pc.chk_vars])
+        # the code is d_v-regular, so every variable has the same edge count
+        var_edges = np.argsort(edge_var, kind="stable").reshape(pc.n, -1).T
+        return cls(edge_var, np.cumsum(deg) - deg, deg, var_edges)
 
 
 def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
@@ -275,7 +253,8 @@ def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
     lay = pc.layout
     v2c = (Lch + c2v_sum)[..., lay.edge_var] - c2v
     c2v = check_messages(v2c, lay)
-    c2v_sum = _sum_per_var(c2v, lay)
+    # each variable's d_v messages, added in check order
+    c2v_sum = np.take(c2v, lay.var_edges, axis=-1).sum(axis=-2)
     return c2v, c2v_sum, Lch + c2v_sum
 
 

@@ -105,7 +105,6 @@ def activity_posterior(mu_h, xi_h, prior_mean, prior_var, p_a):
 @dataclass
 class TrialOutcome:
     decoded_bits: np.ndarray      # (K, m); meaningful only for declared users
-    syndrome_pass: np.ndarray     # bool per user
     declared: np.ndarray          # bool per user: q > threshold at the end
     q: np.ndarray
     mu_h: np.ndarray
@@ -221,11 +220,10 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
             converged = "stalled"
             break
 
-    bits = np.zeros((cfg.K, pc.n), dtype=np.uint8)
-    bits[live] = hard
+    bits = np.zeros((cfg.K, pc.m), dtype=np.uint8)
+    bits[live] = hard[:, :pc.m]
     return TrialOutcome(
-        decoded_bits=bits[:, :pc.m],
-        syndrome_pass=ldpc.syndrome_ok(bits, pc),
+        decoded_bits=bits,
         declared=declared,
         q=q,
         mu_h=mu_h,

@@ -234,7 +234,7 @@ def test_criterion_08_numerics():
             xi_total = st.xi_s + st.xi_h[k] + cfg.noise_variance
             mu_l = np.maximum(de.l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
             mu_cv = de.l2(mu_l, cfg.d_v, prof, st.mu_c2v[k])
-            vals = de._tables.j(np.sqrt(2 * np.maximum(
+            vals = de._tables().j(np.sqrt(2 * np.maximum(
                 mu_l + cfg.d_v * mu_cv, 0.0)))
             sem = vals.std() / math.sqrt(n)
             assert abs(nxt.mi[k] - vals.mean()) < 3 * sem + 1e-6

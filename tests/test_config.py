@@ -175,6 +175,7 @@ def test_metrics():
     ("max_iterations", 2.5),
     ("d_v", 2.5),
     ("system_seed", 1.5),
+    ("system_seed", -1),
 ])
 def test_non_finite_or_non_integer_rejected(field, value):
     with pytest.raises(C.ConfigError):

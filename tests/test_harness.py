@@ -41,7 +41,7 @@ def test_spec_validation():
     for grid in ((0.0, float("nan")), (4000.0,), (-4000.0,)):
         with pytest.raises(ValueError, match="finite"):
             small_spec(snr_db_grid=grid).validate()
-    for seed in (1.5, float("nan"), "1"):
+    for seed in (1.5, float("nan"), "1", -1):
         with pytest.raises(C.ConfigError, match="master_seed"):
             small_spec(master_seed=seed).validate()
 

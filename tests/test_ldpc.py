@@ -15,7 +15,7 @@ def pc400():
 def test_construction_shape(pc400):
     assert pc400.n == 400 and pc400.n_checks == 160
     assert sum(len(c) for c in pc400.chk_vars) == 1200
-    degs = np.bincount(pc400.check_degrees)
+    degs = np.bincount(pc400.layout.chk_deg)
     assert degs[7] == 80 and degs[8] == 80
     assert np.all(np.bincount(pc400.layout.edge_var, minlength=400) == 3)
 
@@ -148,13 +148,50 @@ def test_layout_built_once(pc400):
     assert pc400.layout is pc400.layout
     lay = pc400.layout
     assert lay.edge_var.tolist() == [v for vs in pc400.chk_vars for v in vs]
-    degs = pc400.check_degrees
+    degs = [len(vs) for vs in pc400.chk_vars]
     assert lay.chk_ptr.tolist() == [sum(degs[:c]) for c in range(len(degs))]
     assert lay.chk_deg.tolist() == degs
-    bins = lay.var_bins(3)
-    assert np.array_equal(bins, (np.arange(3)[:, None] * pc400.n
-                                 + lay.edge_var).ravel())
-    assert np.array_equal(lay.var_bins(2), bins[:2 * len(lay.edge_var)])
+    # column v lists v's d_v = 3 edges, in check order
+    assert lay.var_edges.shape == (3, pc400.n)
+    for v in range(pc400.n):
+        want = [e for e, u in enumerate(lay.edge_var) if u == v]
+        assert lay.var_edges[:, v].tolist() == want
+
+
+def _bincount_var_sum(c2v, lay, n):
+    """Sum of edge messages of shape (..., E) per variable by one bincount
+    over stacked words: the reference for flood's variable sum."""
+    batch = c2v.shape[:-1]
+    rows = int(np.prod(batch))
+    bins = (np.arange(rows)[:, None] * n + lay.edge_var).ravel()
+    return np.bincount(bins, weights=c2v.ravel(),
+                       minlength=rows * n).reshape(*batch, n)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4)],
+                         ids=["1d", "batch3", "batch2x4"])
+def test_var_sum_matches_bincount(pc400, shape):
+    # flood's c2v_sum must equal the bincount sum of its c2v bit for bit.
+    # With zero channel LLRs and sums, flood's check input is -c2v_prev
+    # exactly, so v2c is chosen freely; zeros among it make the check
+    # update emit +0.0 and -0.0
+    rng = np.random.default_rng(8)
+    lay = pc400.layout
+    n_edges = len(lay.edge_var)
+    zeros = np.zeros(shape + (pc400.n,))
+    all_neg_zero = 0
+    for trial in range(20):
+        v2c = rng.normal(0, 6, shape + (n_edges,))
+        v2c[..., rng.random(n_edges) < 0.1 * (trial % 5)] = 0.0
+        c2v, c2v_sum, _ = L.flood(zeros, -v2c, zeros, pc400)
+        want = _bincount_var_sum(c2v, lay, pc400.n)
+        assert c2v_sum.tobytes() == want.tobytes()
+        # variables whose 3 messages are all -0.0, which bincount sums
+        # from +0.0 to +0.0
+        neg_zero = ((c2v == 0) & np.signbit(c2v)).astype(float)
+        all_neg_zero += int(np.sum(_bincount_var_sum(neg_zero, lay,
+                                                     pc400.n) == 3))
+    assert all_neg_zero > 0
 
 
 def test_cn_update_values():
@@ -180,8 +217,9 @@ def test_check_messages_matches_scalar():
         # zero inputs: none, one, or two or more (every output then 0)
         n_zero = (0, 1, 2, int(deg))[trial % 4]
         llrs[rng.choice(deg, n_zero, replace=False)] = 0.0
-        lay = L.EdgeLayout(deg, np.arange(deg), np.array([0]),
-                           np.array([deg]))
+        lay = L.EdgeLayout(edge_var=np.arange(deg), chk_ptr=np.array([0]),
+                           chk_deg=np.array([deg]),
+                           var_edges=np.arange(deg)[None, :])
         out = L.check_messages(llrs[None, :], lay)[0]
         for i in range(deg):
             ref = L.cn_update(np.delete(llrs, i))
@@ -227,11 +265,13 @@ _EDGE_VALUES = np.array([0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324,
 def test_check_messages_matches_counting_form(shape):
     rng = np.random.default_rng(21)
     deg = rng.integers(2, 9, 40)
-    lay = L.EdgeLayout(int(deg.sum()), np.arange(deg.sum()),
-                       np.concatenate([[0], np.cumsum(deg[:-1])]), deg)
+    n_edges = int(deg.sum())
+    lay = L.EdgeLayout(edge_var=np.arange(n_edges),
+                       chk_ptr=np.concatenate([[0], np.cumsum(deg[:-1])]),
+                       chk_deg=deg, var_edges=np.arange(n_edges)[None, :])
     ptr = lay.chk_ptr
     for trial in range(60):
-        v2c = rng.normal(0, 6, shape + (int(deg.sum()),))
+        v2c = rng.normal(0, 6, shape + (n_edges,))
         if trial % 6:
             # per check: no, one, or two or more special values, which are
             # exact zeros in every third check
