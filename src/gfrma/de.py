@@ -5,6 +5,12 @@ J-function (MI of a symmetric Gaussian LLR as a function of its standard
 deviation), with the channel-estimate uncertainty folded in by averaging
 the MI over a truncated Gaussian model of the estimated gain.
 
+Users with the same gain follow the same recursion, so run_de runs it once
+per distinct active gain (user class): each step works on one row per class,
+the class sizes weight the interference sum, and per-user rows are expanded
+only for the returned state and the trace. A direct mi_step call on a
+per-user state keeps one row per user.
+
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
 by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
@@ -36,10 +42,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_Z = 4.0 * (_GL_NODES - 1.0)
 _GL_MASS = 8.0 * _GL_WEIGHTS * np.exp(-_GL_Z ** 2 / 2.0) \
     / math.sqrt(2.0 * math.pi)
+_GL_MASS_SUM = _GL_MASS.sum()
 # initial threshold_search bracket (dB), widened until it straddles
 _BRACKET_DB = (-10.0, 20.0)
 # threshold_search gives up (returns +inf) if DE fails at this SNR (dB)
 _GAMMA_MAX_DB = 40.0
+# and (returns -inf) if DE converges at every bracket end down to this one
+_GAMMA_MIN_DB = -60.0
 
 
 def j_function(x):
@@ -121,16 +130,19 @@ class _Tables:
         ov = _gauss_mean(lambda v: np.tanh(v / 2.0) ** 2, self._j_inv(iv))
         self._omega = interpolate.PchipInterpolator(iv, ov)
 
+    # np.minimum/np.maximum clamp as np.clip does, without its wrapper
     def j(self, x):
-        return np.clip(self._j(np.minimum(x, _X_MAX)), 0.0, 1.0)
+        return np.minimum(np.maximum(self._j(np.minimum(x, _X_MAX)), 0.0),
+                          1.0)
 
     def j_inv(self, mi):
-        return self._j_inv(np.clip(mi, 0.0, self._j_max))
+        return self._j_inv(np.minimum(np.maximum(mi, 0.0), self._j_max))
 
     def omega(self, mi):
         mi = np.asarray(mi, dtype=float)
+        om = self._omega(np.minimum(mi, 0.9995))
         return np.where(mi >= 0.9995, 1.0 - (1.0 - mi) * 1e-9,
-                        np.clip(self._omega(np.minimum(mi, 0.9995)), 0.0, 1.0))
+                        np.minimum(np.maximum(om, 0.0), 1.0))
 
 
 @functools.cache
@@ -181,6 +193,13 @@ def check_degree_profile(N, m, d_v):
     return prof
 
 
+def _check_factors(dc_profile):
+    """(sqrt(d_c - 1), edge fraction) of each check degree, as arrays."""
+    root = np.array([math.sqrt(dc - 1) for dc, _ in dc_profile])
+    frac = np.array([frac for _, frac in dc_profile], dtype=float)
+    return root, frac
+
+
 def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
     """One Gaussian-approximation LDPC DE step: mean of check-to-variable LLR.
 
@@ -188,16 +207,23 @@ def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
     check update runs through the J-function MI algebra averaged over the
     edge-perspective check-degree profile.
     """
+    return _l2(mu_channel, d_v, *_check_factors(dc_profile), mu_c2v_prev)
+
+
+def _l2(mu_channel, d_v, dc_root, dc_frac, mu_c2v_prev):
+    """l2 with the profile as _check_factors' arrays; the check degrees
+    share one J-table call."""
     mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
                        + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
                        0.0)
     tab = _tables()
     i_vc = tab.j(np.sqrt(2.0 * mu_vc))
     x_rev = tab.j_inv(1.0 - i_vc)
-    i_cv = np.zeros_like(np.asarray(mu_vc, dtype=float))
-    for dc, frac in dc_profile:
-        i_cv = i_cv + frac * (1.0 - tab.j(math.sqrt(dc - 1) * x_rev))
-    return tab.j_inv(np.clip(i_cv, 0.0, 1.0)) ** 2 / 2.0
+    col = (-1,) + (1,) * x_rev.ndim
+    i_cv = (dc_frac.reshape(col)
+            * (1.0 - tab.j(dc_root.reshape(col) * x_rev))).sum(axis=0)
+    # j_inv clamps to [0, J's largest tabled value], inside [0, 1]
+    return tab.j_inv(i_cv) ** 2 / 2.0
 
 
 def de_interference_variance(active_gains, racf, mi, xi_h):
@@ -207,9 +233,15 @@ def de_interference_variance(active_gains, racf, mi, xi_h):
     factor is 1 because the DE analyzes the actual active set.
     """
     g = np.asarray(active_gains, dtype=float)
-    ed = racf_mean_degree(racf)
     om = _tables().omega(np.asarray(mi, dtype=float))
-    return float(np.sum(ed * ((g * g + np.asarray(xi_h)) - g * g * om)))
+    return _interference_variance(g * g, 1.0, racf_mean_degree(racf), om,
+                                  np.asarray(xi_h))
+
+
+def _interference_variance(g2, count, ed, om, xi_h):
+    """de_interference_variance from the squared gains and Omega(I) of each
+    row, a row standing for count users."""
+    return float(np.sum(count * (ed * ((g2 + xi_h) - g2 * om))))
 
 
 def de_channel_variance(racf, T, xi_s, xi_w, prior_var, mi):
@@ -218,10 +250,14 @@ def de_channel_variance(racf, T, xi_s, xi_w, prior_var, mi):
     T E[d] edges each contribute mean precision Omega(I)/(xi_s + xi_w);
     fused with the prior precision.
     """
-    ed = racf_mean_degree(racf)
     om = _tables().omega(np.asarray(mi, dtype=float))
-    prec = T * ed * om / (xi_s + xi_w) + 1.0 / prior_var
-    return 1.0 / prec
+    return _channel_variance(T * racf_mean_degree(racf), om, xi_s, xi_w,
+                             prior_var)
+
+
+def _channel_variance(t_ed, om, xi_s, xi_w, prior_var):
+    """de_channel_variance from T E[d] and Omega(I)."""
+    return 1.0 / (t_ed * om / (xi_s + xi_w) + 1.0 / prior_var)
 
 
 @dataclass
@@ -243,6 +279,27 @@ def initial_de_state(cfg: SystemConfig, active_gains) -> DeState:
     return DeState(mi0, xi_h0, np.zeros(len(g)), xi_s0)
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """What mi_step needs besides the state and cfg: the gain of each DE
+    row and the number of users it stands for, and cfg's constants."""
+
+    gain: np.ndarray      # per row
+    gain2: np.ndarray     # gain ** 2
+    count: np.ndarray     # users per row (1.0: one user each)
+    ed: float             # E[d]
+    t_ed: float           # T E[d]
+    dc_root: np.ndarray   # sqrt(d_c - 1) per check degree
+    dc_frac: np.ndarray   # edge fraction per check degree
+
+    @classmethod
+    def build(cls, cfg: SystemConfig, gain, count):
+        ed = racf_mean_degree(cfg.racf)
+        return cls(gain, gain * gain, count, ed, cfg.T * ed,
+                   *_check_factors(check_degree_profile(cfg.N, cfg.m,
+                                                        cfg.d_v)))
+
+
 def mi_step(state: DeState, cfg: SystemConfig, active_gains) -> DeState:
     """Advance the MI recursion by one iteration.
 
@@ -252,45 +309,68 @@ def mi_step(state: DeState, cfg: SystemConfig, active_gains) -> DeState:
     nodes): the nodes are mu = h + sqrt(xi_h) * _GL_Z and the weights
     _GL_MASS do not depend on xi_h. The interference and channel variance
     recursions are then refreshed from the new MI values.
+
+    Each user is a row of its own here; run_de passes its user classes
+    instead (a _Rows), one row per distinct gain.
     """
-    g = np.asarray(active_gains, dtype=float)
-    ed = racf_mean_degree(cfg.racf)
-    dc_prof = check_degree_profile(cfg.N, cfg.m, cfg.d_v)
+    if isinstance(active_gains, _Rows):
+        rows = active_gains
+    else:
+        rows = _Rows.build(cfg, np.asarray(active_gains, dtype=float), 1.0)
+    g = rows.gain[:, None]
     xi_w = cfg.noise_variance
+    tab = _tables()
 
     xi_total = (state.xi_s + state.xi_h + xi_w)[:, None]
-    mu = g[:, None] + np.sqrt(state.xi_h)[:, None] * _GL_Z
-    mu_l = np.maximum(l1(g[:, None], ed, cfg.T, cfg.N, mu, xi_total), 0.0)
-    mu_cv = l2(mu_l, cfg.d_v, dc_prof, state.mu_c2v[:, None])
-    jvals = _tables().j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv,
-                                                  0.0)))
-    mi_new = np.clip(jvals @ _GL_MASS, 0.0, 1.0)
-    mu_c2v_new = (mu_cv @ _GL_MASS) / _GL_MASS.sum()
-    xi_s_new = de_interference_variance(g, cfg.racf, mi_new, state.xi_h)
-    xi_h_new = de_channel_variance(cfg.racf, cfg.T, xi_s_new, xi_w,
-                                   cfg.prior.var, mi_new)
+    mu = g + np.sqrt(state.xi_h)[:, None] * _GL_Z
+    mu_l = np.maximum(l1(g, rows.ed, cfg.T, cfg.N, mu, xi_total), 0.0)
+    mu_cv = _l2(mu_l, cfg.d_v, rows.dc_root, rows.dc_frac,
+                state.mu_c2v[:, None])
+    jvals = tab.j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv, 0.0)))
+    mi_new = np.minimum(np.maximum(jvals @ _GL_MASS, 0.0), 1.0)
+    mu_c2v_new = (mu_cv @ _GL_MASS) / _GL_MASS_SUM
+    om = tab.omega(mi_new)
+    xi_s_new = _interference_variance(rows.gain2, rows.count, rows.ed, om,
+                                      state.xi_h)
+    xi_h_new = _channel_variance(rows.t_ed, om, xi_s_new, xi_w,
+                                 cfg.prior.var)
     return DeState(mi_new, xi_h_new, mu_c2v_new, xi_s_new,
                    state.iteration + 1)
 
 
-def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
-    """Iterate the recursion; returns the final DeState.
+def _per_user(st: DeState, user) -> DeState:
+    """The per-user state of a state held per class; user[k] is user k's
+    class."""
+    return DeState(st.mi[user], st.xi_h[user], st.mu_c2v[user], st.xi_s,
+                   st.iteration)
 
-    trace, if given, is a list collecting (iteration, DeState) snapshots.
+
+def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
+    """Iterate the recursion; returns the final per-user DeState.
+
+    trace, if given, is a list collecting the per-user DeState snapshots.
+    The recursion runs once per distinct gain, so users with equal gains
+    get bitwise-equal rows.
     """
     state = initial_de_state(cfg, active_gains)
     if trace is not None:
         trace.append(state)
+    gain, first, user, count = np.unique(
+        np.asarray(active_gains, dtype=float), return_index=True,
+        return_inverse=True, return_counts=True)
+    rows = _Rows.build(cfg, gain, count)
+    state = DeState(state.mi[first], state.xi_h[first],
+                    state.mu_c2v[first], state.xi_s)
     for _ in range(max_iter):
-        new = mi_step(state, cfg, active_gains)
+        new = mi_step(state, cfg, rows)
         if trace is not None:
-            trace.append(new)
+            trace.append(_per_user(new, user))
         done = np.all(new.mi > _MI_CONVERGED)
         stalled = np.max(np.abs(new.mi - state.mi)) < _STALL_TOL
         state = new
         if done or stalled:
             break
-    return state
+    return _per_user(state, user)
 
 
 def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
@@ -303,8 +383,10 @@ def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
 def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
     """Bisection for the threshold SNR (dB) above which DE converges.
 
-    Returns the threshold in dB, or +inf if no success below _GAMMA_MAX_DB.
-    The initial bracket is auto-expanded until it straddles the threshold.
+    Returns the threshold in dB. The initial bracket is auto-expanded until
+    it straddles the threshold, and the search ends without one at either
+    end: +inf if DE fails even at _GAMMA_MAX_DB, -inf if DE converged at
+    every SNR tried, down to _GAMMA_MIN_DB.
     """
     if not de_converges(cfg, active_gains, db_to_linear(_GAMMA_MAX_DB)):
         return float("inf")
@@ -312,8 +394,8 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
     while de_converges(cfg, active_gains, db_to_linear(lo)):
         hi = lo
         lo -= 10.0
-        if lo < -60.0:
-            return lo
+        if lo < _GAMMA_MIN_DB:
+            return float("-inf")
     while not de_converges(cfg, active_gains, db_to_linear(hi)):
         lo = hi
         hi = min(hi + 5.0, _GAMMA_MAX_DB)

@@ -280,6 +280,94 @@ def test_mi_step_matches_per_user_loop(cfg, n_active):
         assert abs(got.xi_s - ref.xi_s) <= 1e-12 * scale
 
 
+def _check_against_oracle(got, ref, cfg, g):
+    """mi_step's tolerances against _mi_step_per_user."""
+    np.testing.assert_allclose(got.mi, ref.mi, rtol=0, atol=1e-12)
+    for name in ("mu_c2v", "xi_h"):
+        np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    scale = C.racf_mean_degree(cfg.racf) * np.sum(g * g + ref.xi_h)
+    assert abs(got.xi_s - ref.xi_s) <= 1e-12 * scale
+
+
+def test_mi_step_equal_gains_distinct_rows():
+    # a direct call keeps one row per user, so users that share a gain but
+    # hold different states get their own answers
+    cfg = desk_cfg(noise_variance=0.3)
+    g = np.ones(4)
+    st = de.DeState(mi=np.array([0.1, 0.5, 0.9, 0.5]),
+                    xi_h=np.array([0.5, 0.05, 1e-4, 0.2]),
+                    mu_c2v=np.array([0.2, 2.0, 9.0, 1.0]), xi_s=0.4)
+    got = de.mi_step(st, cfg, g)
+    assert len(np.unique(got.mi)) == 4
+    _check_against_oracle(got, _mi_step_per_user(st, cfg, g), cfg, g)
+
+
+@pytest.mark.parametrize("cfg,n_active", [
+    (desk_cfg(), 3),
+    (desk_cfg(K=100, m=240), 10),    # PAPER_CONFIG
+])
+def test_run_de_equal_gains_equal_rows(cfg, n_active):
+    # run_de runs one row per distinct gain, so users that share a gain
+    # share their rows bit for bit in every snapshot
+    g = np.ones(n_active)
+    for gdb in (-8.0, -6.0, -2.0, 2.0, 6.0):
+        xi_w = C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), g)
+        trace = []
+        de.run_de(cfg.with_noise_variance(xi_w), g, trace=trace)
+        for st in trace:
+            for name in ("mi", "xi_h", "mu_c2v"):
+                row = getattr(st, name)
+                assert np.array_equal(row, np.full(n_active, row[0])), \
+                    (gdb, st.iteration, name)
+
+
+@pytest.mark.parametrize("gdb", [-6.0, 0.0, 6.0])
+def test_run_de_mixed_gains_matches_per_user_chain(gdb):
+    cfg = desk_cfg()
+    g = np.array([1.0, 0.8, 1.0, 1.0, 0.8])
+    cfg_w = cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), g))
+    trace = []
+    de.run_de(cfg_w, g, trace=trace)
+    # the same recursion, one user at a time, under run_de's stop rule
+    ref = [de.initial_de_state(cfg_w, g)]
+    for _ in range(de._MAX_ITER):
+        new = _mi_step_per_user(ref[-1], cfg_w, g)
+        done = np.all(new.mi > de._MI_CONVERGED)
+        stalled = np.max(np.abs(new.mi - ref[-1].mi)) < de._STALL_TOL
+        ref.append(new)
+        if done or stalled:
+            break
+    assert [st.iteration for st in trace] == [st.iteration for st in ref]
+    assert 1 < len(trace) < de._MAX_ITER
+    for got, want in zip(trace, ref):
+        assert got.mi.shape == (len(g),)
+        _check_against_oracle(got, want, cfg_w, g)
+
+
+def test_run_de_steps_through_module_mi_step(monkeypatch):
+    # one de.mi_step call per iteration, looked up on the module, so that a
+    # wrapper installed from outside (the benchmark's tracer) sees each step
+    calls = []
+    step = de.mi_step
+
+    def counted(*args):
+        calls.append(args[0].iteration)
+        return step(*args)
+
+    monkeypatch.setattr(de, "mi_step", counted)
+    cfg = desk_cfg()
+    g = np.ones(3)
+    trace = []
+    final = de.run_de(cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(-6.0), g)), g,
+        trace=trace)
+    assert final.iteration > 1
+    assert calls == list(range(final.iteration))
+    assert len(trace) == final.iteration + 1
+
+
 def test_mi_trajectory_non_decreasing():
     cfg = desk_cfg()
     g = np.ones(3)
@@ -329,6 +417,20 @@ def test_threshold_unreachable():
     cfg = desk_cfg()
     g = np.ones(100)
     assert de.threshold_search(cfg, g) == float("inf")
+
+
+def test_threshold_floor(monkeypatch):
+    # DE converging at every SNR tried gives no threshold: -inf, as the
+    # 40 dB cap gives +inf, not the last bracket end (-70 dB, never tried)
+    tried = []
+
+    def always(cfg, gains, gamma):
+        tried.append(gamma)
+        return True
+
+    monkeypatch.setattr(de, "de_converges", always)
+    assert de.threshold_search(desk_cfg(), np.ones(3)) == float("-inf")
+    assert 10.0 * math.log10(min(tried)) == pytest.approx(-60.0)
 
 
 def _gh_j(s, nodes, weights):
