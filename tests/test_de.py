@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -505,3 +506,55 @@ def test_de_trace_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == -4.0 and first[2] == "0"
     assert lines[-1].startswith("# gamma_th_db,")
+
+
+# ---------------------------------------------------------------------------
+# golden digests: DE output pinned bit for bit
+
+def _trace_digest(trace):
+    h = hashlib.sha256()
+    for st in trace:
+        h.update(np.int64(st.iteration).tobytes())
+        for arr in (st.mi, st.xi_h, st.mu_c2v, st.xi_s):
+            h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+_DESK = desk_cfg()
+_PAPER = desk_cfg(K=100, m=240)
+
+
+@pytest.mark.parametrize("cfg,gains,gdb,digest", [
+    (_DESK, np.ones(3), -8.5, "06d341dad43c3d37"),
+    (_DESK, np.ones(3), -7.0, "1936c5cb25c66e21"),
+    (_DESK, np.ones(3), 2.0, "3102a3ba0d85c2b7"),
+    (_PAPER, np.ones(10), 0.0, "3ef67ea1f0039b37"),
+    (_PAPER, np.ones(10), 1.0, "3e978269c96e81fa"),
+    (_PAPER, np.ones(10), 6.0, "6b8198aa36475429"),
+    (_DESK, np.array([1.0, 0.8, 1.0, 1.0, 0.8]), 0.0, "d303bff810c44b4c"),
+], ids=["desk-8.5", "desk-7", "desk+2", "paper0", "paper+1", "paper+6",
+        "mixed0"])
+def test_run_de_golden_digest(cfg, gains, gdb, digest):
+    # every snapshot's bytes; a change to the DE arithmetic, its evaluation
+    # order or its stop rule moves them (recorded with numpy 2.4 / scipy 1.17)
+    cfg_w = cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), gains))
+    trace = []
+    de.run_de(cfg_w, gains, trace=trace)
+    assert _trace_digest(trace) == digest
+
+
+def test_mi_step_golden_digest():
+    # a direct call on per-user rows that share a gain
+    cfg = desk_cfg(noise_variance=0.3)
+    st = de.DeState(mi=np.array([0.1, 0.5, 0.9, 0.5]),
+                    xi_h=np.array([0.5, 0.05, 1e-4, 0.2]),
+                    mu_c2v=np.array([0.2, 2.0, 9.0, 1.0]), xi_s=0.4)
+    assert _trace_digest([de.mi_step(st, cfg, np.ones(4))]) == "af02520312cb9a2e"
+
+
+def test_de_trace_csv_golden_digest(tmp_path):
+    out = tmp_path / "de.csv"
+    de.write_de_trace(_DESK, np.ones(3), [-8.5, -4.0], out,
+                      threshold_db=-7.7587890625)
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "35054e78ead1eff3"
