@@ -221,8 +221,8 @@ def _parse_value(key, raw):
 def read_config_file(path) -> SystemConfig:
     """Read a flat `key = value` config file (# starts a comment).
 
-    Keys mirror SystemConfig fields; the prior is given as prior_mean /
-    prior_var; the RACf as `racf = 0:0.90,1:0.06,2:0.04`.
+    Keys mirror SystemConfig fields, each given once; the prior is given
+    as prior_mean / prior_var; the RACf as `racf = 0:0.90,1:0.06,2:0.04`.
     """
     fields = {}
     with open(path) as f:
@@ -234,20 +234,19 @@ def read_config_file(path) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, raw = line.split("=", 1)
             key = key.strip()
+            if key in fields:
+                raise ConfigError(f"{path}:{lineno}: {key}: given twice")
             try:
                 fields[key] = _parse_value(key, raw)
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
-    prior_mean = fields.pop("prior_mean", None)
-    prior_var = fields.pop("prior_var", None)
-    if prior_mean is not None or prior_var is not None:
-        default = ChannelPrior()
-        fields["prior"] = ChannelPrior(
-            mean=prior_mean if prior_mean is not None else default.mean,
-            var=prior_var if prior_var is not None else default.var,
-        )
-    known = {f.name for f in dataclasses.fields(SystemConfig)}
+    known = ({f.name for f in dataclasses.fields(SystemConfig)} - {"prior"}
+             | {"prior_mean", "prior_var"})
     unknown = set(fields) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "prior_mean" in fields or "prior_var" in fields:
+        default = ChannelPrior()
+        fields["prior"] = ChannelPrior(fields.pop("prior_mean", default.mean),
+                                       fields.pop("prior_var", default.var))
     return validate_config(SystemConfig(**fields))

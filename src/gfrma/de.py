@@ -8,8 +8,9 @@ the MI over a truncated Gaussian model of the estimated gain.
 Users with the same gain follow the same recursion, so run_de runs it once
 per distinct active gain (user class): each step works on one row per class,
 the class sizes weight the interference sum, and per-user rows are expanded
-only for the returned state and the trace. A direct mi_step call on a
-per-user state keeps one row per user.
+only for the returned state and the trace. mi_step takes the gain and the
+user count of each row, so a direct call holds one user per row. E[d] and
+the check-degree profile are built once per code by _code_constants().
 
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
@@ -179,25 +180,25 @@ def l1(h, mean_degree, T, N, mu_h, xi_total):
 
 
 def check_degree_profile(N, m, d_v):
-    """Edge-perspective check degrees of the regular code: [(d_c, fraction)]."""
+    """Edge-perspective check degrees of the regular code, as two arrays:
+    the degrees d_c and the fraction of edges at each."""
     n_checks = N - m
     edges = N * d_v
     lo = edges // n_checks
     n_hi = edges - lo * n_checks          # checks of degree lo+1
-    n_lo = n_checks - n_hi
-    prof = []
-    if n_lo:
-        prof.append((lo, n_lo * lo / edges))
-    if n_hi:
-        prof.append((lo + 1, n_hi * (lo + 1) / edges))
-    return prof
+    d_c = np.array([lo, lo + 1])
+    n = np.array([n_checks - n_hi, n_hi])
+    keep = n > 0
+    return d_c[keep], n[keep] * d_c[keep] / edges
 
 
-def _check_factors(dc_profile):
-    """(sqrt(d_c - 1), edge fraction) of each check degree, as arrays."""
-    root = np.array([math.sqrt(dc - 1) for dc, _ in dc_profile])
-    frac = np.array([frac for _, frac in dc_profile], dtype=float)
-    return root, frac
+@functools.cache
+def _code_constants(racf, N, m, d_v):
+    """E[d] and check_degree_profile, built once per code; the profile's
+    arrays are shared by every caller, so they are read-only."""
+    d_c, frac = check_degree_profile(N, m, d_v)
+    d_c.flags.writeable = frac.flags.writeable = False
+    return racf_mean_degree(racf), (d_c, frac)
 
 
 def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
@@ -205,14 +206,10 @@ def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
 
     Variable-to-check mean is mu_channel + (d_v - 1) * mu_c2v_prev; the
     check update runs through the J-function MI algebra averaged over the
-    edge-perspective check-degree profile.
+    edge-perspective check-degree profile, check_degree_profile's
+    (d_c, fraction) pair. The check degrees share one J-table call.
     """
-    return _l2(mu_channel, d_v, *_check_factors(dc_profile), mu_c2v_prev)
-
-
-def _l2(mu_channel, d_v, dc_root, dc_frac, mu_c2v_prev):
-    """l2 with the profile as _check_factors' arrays; the check degrees
-    share one J-table call."""
+    d_c, frac = dc_profile
     mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
                        + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
                        0.0)
@@ -220,53 +217,40 @@ def _l2(mu_channel, d_v, dc_root, dc_frac, mu_c2v_prev):
     i_vc = tab.j(np.sqrt(2.0 * mu_vc))
     x_rev = tab.j_inv(1.0 - i_vc)
     col = (-1,) + (1,) * x_rev.ndim
-    i_cv = (dc_frac.reshape(col)
-            * (1.0 - tab.j(dc_root.reshape(col) * x_rev))).sum(axis=0)
+    root = np.sqrt(d_c - 1).reshape(col)
+    i_cv = (frac.reshape(col) * (1.0 - tab.j(root * x_rev))).sum(axis=0)
     # j_inv clamps to [0, J's largest tabled value], inside [0, 1]
     return tab.j_inv(i_cv) ** 2 / 2.0
 
 
-def de_interference_variance(active_gains, racf, mi, xi_h):
+def de_interference_variance(gains, count, mean_degree, om, xi_h):
     """Aggregate interference variance left after soft cancellation.
 
-    Per active user: E[d] * ((h^2 + xi_h) - h^2 * Omega(I)); the activity
+    Per active user: E[d] * ((h^2 + xi_h) - h^2 * Omega(I)), where om holds
+    Omega(I) of each row and a row stands for count users; the activity
     factor is 1 because the DE analyzes the actual active set.
     """
-    g = np.asarray(active_gains, dtype=float)
-    om = _tables().omega(np.asarray(mi, dtype=float))
-    return _interference_variance(g * g, 1.0, racf_mean_degree(racf), om,
-                                  np.asarray(xi_h))
+    g2 = np.square(gains, dtype=float)
+    return float((count * (mean_degree * ((g2 + xi_h) - g2 * om))).sum())
 
 
-def _interference_variance(g2, count, ed, om, xi_h):
-    """de_interference_variance from the squared gains and Omega(I) of each
-    row, a row standing for count users."""
-    return float(np.sum(count * (ed * ((g2 + xi_h) - g2 * om))))
+def de_channel_variance(t_ed, om, xi_s, xi_w, prior_var):
+    """Expected fused channel-estimate variance at Omega(I) = om.
 
-
-def de_channel_variance(racf, T, xi_s, xi_w, prior_var, mi):
-    """Expected fused channel-estimate variance at mutual information mi.
-
-    T E[d] edges each contribute mean precision Omega(I)/(xi_s + xi_w);
+    t_ed = T E[d] edges each contribute mean precision om / (xi_s + xi_w);
     fused with the prior precision.
     """
-    om = _tables().omega(np.asarray(mi, dtype=float))
-    return _channel_variance(T * racf_mean_degree(racf), om, xi_s, xi_w,
-                             prior_var)
-
-
-def _channel_variance(t_ed, om, xi_s, xi_w, prior_var):
-    """de_channel_variance from T E[d] and Omega(I)."""
     return 1.0 / (t_ed * om / (xi_s + xi_w) + 1.0 / prior_var)
 
 
 @dataclass
 class DeState:
-    """Density-evolution trajectory state for the active users."""
+    """Density-evolution state, one row per user, or in run_de one row per
+    class of users with equal gains."""
 
-    mi: np.ndarray        # per-user mutual information, in [0, 1]
-    xi_h: np.ndarray      # per-user channel-estimate variance
-    mu_c2v: np.ndarray    # per-user inner LDPC state (check-to-variable mean)
+    mi: np.ndarray        # mutual information per row, in [0, 1]
+    xi_h: np.ndarray      # channel-estimate variance per row
+    mu_c2v: np.ndarray    # inner LDPC state (check-to-variable mean) per row
     xi_s: float           # shared interference variance
     iteration: int = 0
 
@@ -275,65 +259,41 @@ def initial_de_state(cfg: SystemConfig, active_gains) -> DeState:
     g = np.asarray(active_gains, dtype=float)
     mi0 = np.zeros(len(g))
     xi_h0 = np.full(len(g), cfg.prior.var)
-    xi_s0 = de_interference_variance(g, cfg.racf, mi0, xi_h0)
+    ed, _ = _code_constants(cfg.racf, cfg.N, cfg.m, cfg.d_v)
+    xi_s0 = de_interference_variance(g, 1.0, ed, _tables().omega(mi0), xi_h0)
     return DeState(mi0, xi_h0, np.zeros(len(g)), xi_s0)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """What mi_step needs besides the state and cfg: the gain of each DE
-    row and the number of users it stands for, and cfg's constants."""
-
-    gain: np.ndarray      # per row
-    gain2: np.ndarray     # gain ** 2
-    count: np.ndarray     # users per row (1.0: one user each)
-    ed: float             # E[d]
-    t_ed: float           # T E[d]
-    dc_root: np.ndarray   # sqrt(d_c - 1) per check degree
-    dc_frac: np.ndarray   # edge fraction per check degree
-
-    @classmethod
-    def build(cls, cfg: SystemConfig, gain, count):
-        ed = racf_mean_degree(cfg.racf)
-        return cls(gain, gain * gain, count, ed, cfg.T * ed,
-                   *_check_factors(check_degree_profile(cfg.N, cfg.m,
-                                                        cfg.d_v)))
-
-
-def mi_step(state: DeState, cfg: SystemConfig, active_gains) -> DeState:
+def mi_step(state: DeState, cfg: SystemConfig, gains, count=1.0) -> DeState:
     """Advance the MI recursion by one iteration.
 
-    The per-user MI update averages J over the truncated Gaussian model of
-    the estimated gain (mu <= h, density doubled) by Gauss-Legendre
-    quadrature on [h - 8 sqrt(xi_h), h], one array step over (users,
+    The MI update of each row averages J over the truncated Gaussian model
+    of the estimated gain (mu <= h, density doubled) by Gauss-Legendre
+    quadrature on [h - 8 sqrt(xi_h), h], one array step over (rows,
     nodes): the nodes are mu = h + sqrt(xi_h) * _GL_Z and the weights
     _GL_MASS do not depend on xi_h. The interference and channel variance
     recursions are then refreshed from the new MI values.
 
-    Each user is a row of its own here; run_de passes its user classes
-    instead (a _Rows), one row per distinct gain.
+    Row k has gain gains[k] and stands for count[k] users (count may be a
+    scalar): one user per row by default, one class per row in run_de.
     """
-    if isinstance(active_gains, _Rows):
-        rows = active_gains
-    else:
-        rows = _Rows.build(cfg, np.asarray(active_gains, dtype=float), 1.0)
-    g = rows.gain[:, None]
+    gains = np.asarray(gains, dtype=float)
+    g = gains[:, None]
+    ed, dc_profile = _code_constants(cfg.racf, cfg.N, cfg.m, cfg.d_v)
     xi_w = cfg.noise_variance
     tab = _tables()
 
     xi_total = (state.xi_s + state.xi_h + xi_w)[:, None]
     mu = g + np.sqrt(state.xi_h)[:, None] * _GL_Z
-    mu_l = np.maximum(l1(g, rows.ed, cfg.T, cfg.N, mu, xi_total), 0.0)
-    mu_cv = _l2(mu_l, cfg.d_v, rows.dc_root, rows.dc_frac,
-                state.mu_c2v[:, None])
+    mu_l = np.maximum(l1(g, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
+    mu_cv = l2(mu_l, cfg.d_v, dc_profile, state.mu_c2v[:, None])
     jvals = tab.j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv, 0.0)))
     mi_new = np.minimum(np.maximum(jvals @ _GL_MASS, 0.0), 1.0)
     mu_c2v_new = (mu_cv @ _GL_MASS) / _GL_MASS_SUM
     om = tab.omega(mi_new)
-    xi_s_new = _interference_variance(rows.gain2, rows.count, rows.ed, om,
-                                      state.xi_h)
-    xi_h_new = _channel_variance(rows.t_ed, om, xi_s_new, xi_w,
-                                 cfg.prior.var)
+    xi_s_new = de_interference_variance(gains, count, ed, om, state.xi_h)
+    xi_h_new = de_channel_variance(cfg.T * ed, om, xi_s_new, xi_w,
+                                   cfg.prior.var)
     return DeState(mi_new, xi_h_new, mu_c2v_new, xi_s_new,
                    state.iteration + 1)
 
@@ -358,11 +318,10 @@ def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
     gain, first, user, count = np.unique(
         np.asarray(active_gains, dtype=float), return_index=True,
         return_inverse=True, return_counts=True)
-    rows = _Rows.build(cfg, gain, count)
     state = DeState(state.mi[first], state.xi_h[first],
                     state.mu_c2v[first], state.xi_s)
     for _ in range(max_iter):
-        new = mi_step(state, cfg, rows)
+        new = mi_step(state, cfg, gain, count)
         if trace is not None:
             trace.append(_per_user(new, user))
         done = np.all(new.mi > _MI_CONVERGED)

@@ -71,6 +71,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_prior_key_in_config_exit_code(tmp_path, capsys):
+    # a bare `prior` value is a ConfigError, not a traceback
+    p = tmp_path / "bad.cfg"
+    p.write_text("prior = 3\n")
+    rc = cli.main(["sim", "--config", str(p), "--trials", "1"])
+    assert rc == 1
+    assert "error: unknown config keys" in capsys.readouterr().err
+
+
 def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):
     cfg = write_cfg(tmp_path, K=3, T=100)
     for argv in (["graph-dump", "--config", cfg, "--trials", "5"],

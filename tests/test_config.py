@@ -159,6 +159,21 @@ def test_config_file_unknown_key(tmp_path):
         C.read_config_file(p)
 
 
+def test_config_file_prior_is_not_a_key(tmp_path):
+    # the prior is read as prior_mean / prior_var, never as a bare value
+    p = tmp_path / "bad.cfg"
+    p.write_text("prior = 3\n")
+    with pytest.raises(C.ConfigError, match=r"unknown.*\['prior'\]"):
+        C.read_config_file(p)
+
+
+def test_config_file_repeated_key(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("K = 30\n# again\nK = 31\n")
+    with pytest.raises(C.ConfigError, match=r"bad\.cfg:3: K: given twice"):
+        C.read_config_file(p)
+
+
 def test_metrics():
     cfg = paper_like_config(noise_variance=0.14)
     assert C.throughput(cfg) == pytest.approx(0.375)

@@ -91,11 +91,13 @@ def test_l1_values():
 
 
 def test_check_degree_profile():
-    prof = de.check_degree_profile(400, 240, 3)
-    assert prof == [(7, pytest.approx(560 / 1200)),
-                    (8, pytest.approx(640 / 1200))]
+    d_c, frac = de.check_degree_profile(400, 240, 3)
+    assert d_c.tolist() == [7, 8]
+    assert frac.tolist() == [pytest.approx(560 / 1200),
+                             pytest.approx(640 / 1200)]
     # single-degree case
-    assert de.check_degree_profile(4, 2, 2) == [(4, 1.0)]
+    d_c, frac = de.check_degree_profile(4, 2, 2)
+    assert d_c.tolist() == [4] and frac.tolist() == [1.0]
 
 
 def test_l2_trivial_cases():
@@ -109,32 +111,37 @@ def test_l2_trivial_cases():
 def test_l2_degree_two_identity():
     # a degree-2 check forwards the MI of the incoming edge
     for mu in (0.5, 1.0, 3.0):
-        out = de.l2(mu, 1, [(2, 1.0)], 0.0)      # d_v=1: mu_vc = mu
+        # d_v=1: mu_vc = mu
+        out = de.l2(mu, 1, (np.array([2]), np.array([1.0])), 0.0)
         i_in = de.j_function(math.sqrt(2 * mu))
         i_out = de.j_function(math.sqrt(2 * out))
         assert i_out == pytest.approx(i_in, abs=1e-4)
 
 
 def test_interference_variance_cases():
-    racf = C.DEFAULT_RACF
+    ed = C.racf_mean_degree(C.DEFAULT_RACF)
+    om = de._tables().omega
     g = np.ones(1)
-    assert de.de_interference_variance(g, racf, [1.0], [0.0]) == \
+    assert de.de_interference_variance(g, 1.0, ed, om([1.0]), [0.0]) == \
         pytest.approx(0.0, abs=1e-9)
-    assert de.de_interference_variance(g, racf, [0.0], [0.0]) == \
+    assert de.de_interference_variance(g, 1.0, ed, om([0.0]), [0.0]) == \
         pytest.approx(0.14, abs=1e-9)
-    one = de.de_interference_variance(g, racf, [0.3], [0.2])
-    two = de.de_interference_variance(np.ones(2), racf, [0.3, 0.3],
+    one = de.de_interference_variance(g, 1.0, ed, om([0.3]), [0.2])
+    two = de.de_interference_variance(np.ones(2), 1.0, ed, om([0.3, 0.3]),
                                       [0.2, 0.2])
     assert two == pytest.approx(2 * one, rel=1e-12)
+    # a row standing for two users counts as two rows
+    assert de.de_interference_variance(g, 2.0, ed, om([0.3]), [0.2]) == two
 
 
 def test_channel_variance_cases():
-    racf = C.DEFAULT_RACF
-    assert de.de_channel_variance(racf, 6400, 0.5, 0.5, 10.0, 0.0) == \
+    t_ed = 6400 * C.racf_mean_degree(C.DEFAULT_RACF)
+    om = de._tables().omega
+    assert de.de_channel_variance(t_ed, om(0.0), 0.5, 0.5, 10.0) == \
         pytest.approx(10.0)
-    hi = de.de_channel_variance(racf, 6400, 0.5, 0.5, 10.0, 0.9999)
+    hi = de.de_channel_variance(t_ed, om(0.9999), 0.5, 0.5, 10.0)
     assert hi == pytest.approx(1 / (896 * de.omega(0.9999) + 0.1), rel=1e-3)
-    vals = [de.de_channel_variance(racf, 6400, 0.5, 0.5, 10.0, i)
+    vals = [de.de_channel_variance(t_ed, om(i), 0.5, 0.5, 10.0)
             for i in np.linspace(0, 0.999, 20)]
     assert np.all(np.diff(vals) < 1e-15)
 
@@ -242,9 +249,10 @@ def _mi_step_per_user(state, cfg, active_gains):
         mu_c2v_new[k] = float(np.sum(wq * pdf2 * mu_cv)
                               / max(mass, 1e-300))
     mi_new = np.clip(mi_new, 0.0, 1.0)
-    xi_s_new = de.de_interference_variance(g, cfg.racf, mi_new, state.xi_h)
-    xi_h_new = de.de_channel_variance(cfg.racf, cfg.T, xi_s_new, xi_w,
-                                      cfg.prior.var, mi_new)
+    om = de._tables().omega(mi_new)
+    xi_s_new = de.de_interference_variance(g, 1.0, ed, om, state.xi_h)
+    xi_h_new = de.de_channel_variance(cfg.T * ed, om, xi_s_new, xi_w,
+                                      cfg.prior.var)
     return de.DeState(mi_new, xi_h_new, mu_c2v_new, xi_s_new,
                       state.iteration + 1)
 
@@ -473,7 +481,7 @@ def test_single_user_threshold_vs_standalone_ldpc_de():
             i_cv = sum(f * (1 - _gh_j(math.sqrt(dc - 1)
                                       * jinv(min(1 - i_vc, 1 - 1e-12)),
                                       nodes, weights))
-                       for dc, f in prof)
+                       for dc, f in zip(*prof))
             mu_cv = jinv(min(i_cv, 1 - 1e-12)) ** 2 / 2
             if _gh_j(math.sqrt(2 * (mu_ch + cfg.d_v * mu_cv)),
                      nodes, weights) > 1 - 1e-4:
@@ -550,11 +558,13 @@ def test_mi_step_golden_digest():
     st = de.DeState(mi=np.array([0.1, 0.5, 0.9, 0.5]),
                     xi_h=np.array([0.5, 0.05, 1e-4, 0.2]),
                     mu_c2v=np.array([0.2, 2.0, 9.0, 1.0]), xi_s=0.4)
-    assert _trace_digest([de.mi_step(st, cfg, np.ones(4))]) == "af02520312cb9a2e"
+    got = de.mi_step(st, cfg, np.ones(4))
+    assert _trace_digest([got]) == "af02520312cb9a2e"
 
 
 def test_de_trace_csv_golden_digest(tmp_path):
     out = tmp_path / "de.csv"
     de.write_de_trace(_DESK, np.ones(3), [-8.5, -4.0], out,
                       threshold_db=-7.7587890625)
-    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "35054e78ead1eff3"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    assert digest == "35054e78ead1eff3"
