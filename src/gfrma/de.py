@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, interpolate, optimize
 
-from .config import (SystemConfig, db_to_linear, noise_variance_for_snr,
-                     racf_mean_degree)
+from .config import (ConfigError, SystemConfig, db_to_linear,
+                     noise_variance_for_snr, racf_mean_degree)
 
 _X_MAX = 60.0          # J saturates to 1 well below this
 _MI_CONVERGED = 1.0 - 1e-4
@@ -345,8 +345,12 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
     Returns the threshold in dB. The initial bracket is auto-expanded until
     it straddles the threshold, and the search ends without one at either
     end: +inf if DE fails even at _GAMMA_MAX_DB, -inf if DE converged at
-    every SNR tried, down to _GAMMA_MIN_DB.
+    every SNR tried, down to _GAMMA_MIN_DB. tol_db must be finite and > 0:
+    a bisection to 0 never ends, since the midpoint of two adjacent floats
+    is one of them.
     """
+    if not (math.isfinite(tol_db) and tol_db > 0):
+        raise ConfigError(f"tol_db = {tol_db} must be finite and > 0")
     if not de_converges(cfg, active_gains, db_to_linear(_GAMMA_MAX_DB)):
         return float("inf")
     lo, hi = _BRACKET_DB

@@ -3,7 +3,11 @@
 Construction is progressive-edge-growth flavoured: each new edge goes to a
 check of minimal current degree (keeping check degrees within one of each
 other), preferring checks as far as possible from the variable's current
-subtree so short cycles only appear when unavoidable.
+subtree so short cycles only appear when unavoidable. The distance search
+is a BFS over the check graph (two checks adjacent when they share a
+variable) held as Python-int bitsets; its levels equal those of the
+variable-check BFS, because a variable first seen at depth j has all its
+checks reached by depth j, so reaching it again adds no check.
 """
 from __future__ import annotations
 
@@ -66,37 +70,59 @@ def _gf2_rref(H):
 def _peg_edges(n, n_checks, d_v, rng):
     """Place n*d_v edges; returns the (n_checks, n) bool incidence matrix.
 
-    The BFS from each variable runs on the incidence matrix with bool
-    frontier and seen masks; dist is the BFS depth of each check, n_checks
-    (deeper than any reachable check) where unreached.
+    Checks are bits of Python ints: adj[c] holds the checks that share a
+    variable with c, bucket[d] the checks of degree d and own the checks
+    already on v. The candidates are the minimum-degree checks not on v,
+    and the pick is uniform among the farthest of them (_farthest).
     """
     H = np.zeros((n_checks, n), dtype=bool)
-    chk_deg = np.zeros(n_checks, dtype=int)
+    adj = [0] * n_checks
+    bucket = [(1 << n_checks) - 1]
     for v in range(n):
+        own, chks = 0, []
         for _ in range(d_v):
-            own = H[:, v].copy()
-            dist = np.where(own, 0, n_checks)
-            reached = own.copy()
-            frontier = own
-            seen_v = np.zeros(n, dtype=bool)
-            seen_v[v] = True
-            depth = 0
-            while frontier.any():
-                depth += 1
-                new_v = H[frontier].any(axis=0) & ~seen_v
-                seen_v |= new_v
-                frontier = H[:, new_v].any(axis=1) & ~reached
-                reached |= frontier
-                dist[frontier] = depth
-            # uniformity first: only checks at the global minimum degree,
-            # excluding ones already wired to v
-            cand = np.flatnonzero((chk_deg == chk_deg[~own].min()) & ~own)
-            # then distance: prefer unreached, else deepest
-            far = cand[dist[cand] == dist[cand].max()]
-            c = int(far[rng.integers(len(far))])
-            chk_deg[c] += 1
+            # uniformity first: only checks at the minimum degree over the
+            # checks not on v, excluding those on v
+            d = 0
+            while not bucket[d] & ~own:
+                d += 1
+            far = _farthest(adj, own, bucket[d] & ~own)
+            # the k-th candidate in ascending check order
+            for _ in range(rng.integers(far.bit_count())):
+                far &= far - 1
+            bit = far & -far
+            c = bit.bit_length() - 1
+            bucket[d] ^= bit
+            if len(bucket) == d + 1:
+                bucket.append(0)
+            bucket[d + 1] |= bit
+            adj[c] |= own
+            for ci in chks:
+                adj[ci] |= bit
+            chks.append(c)
+            own |= bit
             H[c, v] = True
     return H
+
+
+def _farthest(adj, own, cand):
+    """The candidates farthest from own: unreached ones, else the deepest.
+
+    BFS over the check graph adj, level by level from own, stopping once
+    every candidate is reached; with no candidate left unreached, the last
+    level holds the deepest ones.
+    """
+    reached = frontier = own
+    while frontier and cand & ~reached:
+        nxt = 0
+        f = frontier
+        while f:
+            c = f.bit_length() - 1
+            nxt |= adj[c]
+            f ^= 1 << c
+        frontier = nxt & ~reached
+        reached |= frontier
+    return (cand & ~reached) or (frontier & cand)
 
 
 def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:

@@ -162,12 +162,14 @@ def _draw_block(seed_hash, users, T, racf, N):
                                ^ users.astype(np.uint64))
     stream = _splitmix64_array(
         (h_user[:, None] ^ np.arange(T, dtype=np.uint64)[None, :]).ravel())
-    # first d with u < acc, acc the running sum of probs, as in derive_draw
-    degree = np.searchsorted(np.cumsum(racf.probs), _u01_array(stream, 0),
-                             side="right")
-    degree = np.minimum(degree, min(racf.d_max, N))
-    rows = np.flatnonzero(degree)
-    stream, degree = stream[rows], degree[rows]
+    # first d with u < acc, acc the running sum of probs, as in derive_draw;
+    # a draw with u < acc[0] has degree 0, so only the others are searched
+    acc = np.cumsum(racf.probs)
+    u = _u01_array(stream, 0)
+    rows = np.flatnonzero(u >= acc[0])
+    stream, u = stream[rows], u[rows]
+    degree = np.minimum(np.searchsorted(acc, u, side="right"),
+                        min(racf.d_max, N))
     # partial Fisher-Yates, round i over the rows still drawing; the
     # replacement dict is a key and a value column per round, and a later
     # write to a key shadows the earlier ones

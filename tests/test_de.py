@@ -442,6 +442,23 @@ def test_threshold_floor(monkeypatch):
     assert 10.0 * math.log10(min(tried)) == pytest.approx(-60.0)
 
 
+@pytest.mark.parametrize("tol_db", [math.nan, math.inf, 0.0, -0.05])
+def test_threshold_rejects_bad_tol(monkeypatch, tol_db):
+    # with nan the bisection never runs and returns the bracket's midpoint,
+    # with 0 it never ends; the rule below converges from -7.3 dB up and
+    # fails the test, not hangs it, if the search runs on
+    tried = []
+
+    def rule(cfg, gains, gamma):
+        tried.append(gamma)
+        assert len(tried) < 200
+        return gamma >= 10.0 ** -0.73
+
+    monkeypatch.setattr(de, "de_converges", rule)
+    with pytest.raises(C.ConfigError, match="tol_db"):
+        de.threshold_search(desk_cfg(), np.ones(3), tol_db=tol_db)
+
+
 def _gh_j(s, nodes, weights):
     if s <= 0:
         return 0.0

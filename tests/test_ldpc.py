@@ -353,7 +353,12 @@ def _scalar_peg(n, n_checks, d_v, rng):
 
 
 @pytest.mark.parametrize("n, n_checks, d_v, seed", [
-    (100, 40, 3, 5), (40, 20, 2, 9), (120, 48, 4, 2), (30, 12, 3, 0)])
+    (100, 40, 3, 5), (40, 20, 2, 9), (120, 48, 4, 2), (30, 12, 3, 0),
+    (6, 3, 3, 4),        # d_v == n_checks: every check on every variable
+    (4, 2, 2, 0),        # the smallest code
+    (50, 20, 5, 3), (60, 24, 6, 1),
+    (12, 6, 3, 1),       # rank 5 of 6 checks
+])
 def test_peg_matches_scalar_bfs(n, n_checks, d_v, seed):
     H = L._peg_edges(n, n_checks, d_v, np.random.default_rng(seed))
     want = _scalar_peg(n, n_checks, d_v, np.random.default_rng(seed))

@@ -186,8 +186,17 @@ def _scalar_graph(cfg):
     # seeds outside [0, 2^64) wrap as in mix()
     small_cfg(K=4, T=700, system_seed=-5),
     small_cfg(K=4, T=700, system_seed=2**64 + 13),
+    # probs[0] == 0: every RE is drawn
+    small_cfg(K=4, T=300, racf=C.Racf((0.0, 0.7, 0.3))),
+    small_cfg(K=3, m=3, T=300, racf=C.Racf((0.0, 0.0, 0.5, 0.5))),
+    # a valid RACf whose cumsum ends at 1 - 2^-53
+    small_cfg(K=4, T=700, racf=C.Racf((0.7, 0.2, 0.1))),
+    # cumsum ends at 0.95 (not a valid RACf): the draws past it take d_max,
+    # as derive_draw's fallback does
+    small_cfg(K=4, T=700, racf=C.Racf((0.5, 0.25, 0.2))),
 ], ids=["collisions", "partial-block", "one-user-blocks", "negative-seed",
-        "wide-seed"])
+        "wide-seed", "no-degree-0", "min-degree-2", "cumsum-below-1",
+        "cumsum-short"])
 def test_graph_matches_scalar_draws(cfg):
     g = P.build_access_graph(cfg)
     for got, want in zip((g.edge_user, g.edge_sym, g.edge_re),
