@@ -14,8 +14,9 @@ print("packet:", cfg.m, "info bits ->", cfg.N, "coded symbols (rate",
       cfg.code_rate, ")")
 print("block:", cfg.T, "resource elements, degree pmf", cfg.racf.probs)
 print("throughput: %.3f bits per RE" % C.throughput(cfg))
+ed = C.racf_mean_degree(cfg.racf)
 print("mean degree E[d] = %.3f -> %.0f edges per user over the block"
-      % (C.racf_mean_degree(cfg.racf), P.expected_edges_per_user(cfg)))
+      % (ed, cfg.T * ed))
 
 # the receiver rebuilds the exact same pattern from (seed, user, RE)
 graph = P.build_access_graph(cfg)

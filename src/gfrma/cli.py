@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import de, harness, pattern
+from . import harness, pattern
 from .config import (ConfigError, SystemConfig, read_config_file,
                      validate_config, validate_snr_db_grid)
 
@@ -72,6 +72,8 @@ def cmd_sweep(args):
 
 
 def cmd_de(args):
+    # imported here, so that sim, sweep and graph-dump never load scipy
+    from . import de
     cfg = _load_config(args)
     grid = validate_snr_db_grid(_snr_grid(args))
     gains = harness.expected_active_gains(cfg)

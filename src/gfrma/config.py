@@ -104,7 +104,9 @@ def validate_racf(racf):
 
 
 def _is_int(v):
-    return isinstance(v, (int, np.integer))
+    """An int or numpy integer, and not a bool (True would pass as 1)."""
+    return (isinstance(v, (int, np.integer))
+            and not isinstance(v, (bool, np.bool_)))
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -162,13 +164,6 @@ def throughput(cfg: SystemConfig) -> float:
     return cfg.K * cfg.p_a * cfg.m / cfg.T
 
 
-def avg_snr(cfg: SystemConfig, active_gains) -> float:
-    """Average per-RE SNR (linear): sum over active users of E[d] h^2 / xi_w."""
-    ed = racf_mean_degree(cfg.racf)
-    g = np.asarray(active_gains, dtype=float)
-    return float(ed * np.sum(g * g) / cfg.noise_variance)
-
-
 def validate_snr_db_grid(snr_db_grid):
     """Raise ConfigError unless the dB grid is non-empty and every point
     gives a finite linear SNR > 0 (NaN fails, and so do dB values whose
@@ -183,7 +178,10 @@ def validate_snr_db_grid(snr_db_grid):
 
 
 def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> float:
-    """Noise variance that makes avg_snr equal the target gamma (linear)."""
+    """Noise variance that makes the average per-RE SNR equal gamma (linear).
+
+    The SNR is E[d] * sum over active users of h^2, divided by xi_w.
+    """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ConfigError(f"target SNR must be finite and > 0, got {gamma}")
     ed = racf_mean_degree(cfg.racf)

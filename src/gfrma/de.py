@@ -15,9 +15,10 @@ the check-degree profile are built once per code by _code_constants().
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
 by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
-inverse table. j_function, j_inverse and omega are the adaptive-quadrature
-forms of the same operations, kept as the reference the tables are tested
-against (J to ~1e-8, Omega to ~1e-6, far below the threshold tolerance).
+inverse table. j_function and j_inverse are the adaptive-quadrature forms
+of J and J^-1, kept as the reference the tables are tested against (J to
+~1e-8, Omega to ~1e-6 against the tests' quadrature Omega, far below the
+threshold tolerance).
 """
 from __future__ import annotations
 
@@ -150,25 +151,6 @@ class _Tables:
 def _tables() -> _Tables:
     """The process's one _Tables, built on first use."""
     return _Tables()
-
-
-def omega(mi):
-    """Residual soft-symbol power E[tanh^2(L/2)] at mutual information mi.
-
-    L ~ N(s^2/2, s^2) with s = j_inverse(mi); adaptive quadrature.
-    """
-    mi = float(mi)
-    if mi <= 0.0:
-        return 0.0
-    s = j_inverse(mi)
-
-    def integrand(u):
-        return (math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-                * math.tanh((s * s / 2.0 + s * u) / 2.0) ** 2)
-
-    val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-10,
-                            limit=200)
-    return val
 
 
 def l1(h, mean_degree, T, N, mu_h, xi_total):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import de, ldpc, phy, receiver
-from .config import (ConfigError, SystemConfig, db_to_linear,
+from . import ldpc, phy, receiver
+from .config import (ConfigError, SystemConfig, _is_int, db_to_linear,
                      noise_variance_for_snr, validate_config,
                      validate_snr_db_grid)
 from .pattern import build_access_graph
@@ -34,8 +34,7 @@ class ExperimentSpec:
     workers: int = 1
 
     def validate(self):
-        if not (isinstance(self.master_seed, (int, np.integer))
-                and self.master_seed >= 0):
+        if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ConfigError(f"master_seed = {self.master_seed!r} must be "
                               "an integer >= 0")
         # the config monte_carlo and attach_de run
@@ -43,7 +42,7 @@ class ExperimentSpec:
                                             system_seed=self.master_seed))
         for name in ("trials", "workers"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
+            if not (_is_int(v) and v >= 1):
                 raise ConfigError(f"{name} = {v!r} must be an integer >= 1")
         validate_snr_db_grid(self.snr_db_grid)
         if self.mode not in MODES:
@@ -174,6 +173,8 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
 
 def attach_de(result: ExperimentResult, spec: ExperimentSpec):
     """Add the converged-MI column from the DE recursion."""
+    # imported here, so that a sweep without DE never loads scipy
+    from . import de
     base = dataclasses.replace(spec.cfg, system_seed=spec.master_seed)
     gains = expected_active_gains(base)
     mis = []

@@ -145,7 +145,9 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
     # whose surplus positions the encoder pins to 0.
     R, piv_cols = _gf2_rref(H)
     rank = len(piv_cols)
-    free_cols = np.setdiff1d(np.arange(n), piv_cols)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv_cols] = False
+    free_cols = np.flatnonzero(is_free)
     perm = np.concatenate([free_cols, piv_cols]).astype(int)
     # pivot expressions over the first m (info) free columns
     enc = R[:rank][:, free_cols[:m]].astype(np.uint8)
@@ -183,23 +185,6 @@ def syndrome_ok(hard_bits, pc: ParityCheck):
     lay = pc.layout
     parity = np.add.reduceat(b[..., lay.edge_var], lay.chk_ptr, axis=-1) & 1
     return ~parity.any(axis=-1)
-
-
-def cn_update(incoming):
-    """Check-node rule: 2 atanh(prod tanh(L_i/2)) over the other edges.
-
-    `incoming` already excludes the target edge.
-    """
-    t = np.tanh(np.clip(np.asarray(incoming, dtype=float),
-                        -LLR_CLAMP, LLR_CLAMP) / 2.0)
-    prod = float(np.prod(t)) if len(t) else 1.0
-    prod = np.clip(prod, -_TANH_CLAMP, _TANH_CLAMP)
-    return float(2.0 * np.arctanh(prod))
-
-
-def vn_update(channel_llr, incoming_checks):
-    """Variable-node rule: channel LLR plus the other checks' messages."""
-    return float(channel_llr) + float(np.sum(incoming_checks))
 
 
 def check_messages(v2c, lay: EdgeLayout):
@@ -286,6 +271,8 @@ def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
 
 def bp_decode(pc: ParityCheck, channel_llrs, max_iter=50):
     """Flooding sum-product decoder; returns (hard_bits, ok, iterations)."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter = {max_iter} must be >= 1")
     Lch = np.asarray(channel_llrs, dtype=float)
     c2v = np.zeros(len(pc.layout.edge_var))
     c2v_sum = np.zeros(pc.n)

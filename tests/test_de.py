@@ -8,6 +8,8 @@ import pytest
 from gfrma import config as C
 from gfrma import de
 
+import oracles as O
+
 
 def desk_cfg(**kw):
     base = dict(K=30, p_a=0.1, m=120, code_rate=0.6, T=6400)
@@ -52,9 +54,9 @@ def test_j_inverse_round_trip():
 
 
 def test_omega_endpoints_and_monotone():
-    assert de.omega(0.0) == 0.0
-    assert de.omega(0.999) > 0.99
-    vals = [de.omega(i) for i in np.linspace(0.0, 0.99, 30)]
+    assert O.omega(0.0) == 0.0
+    assert O.omega(0.999) > 0.99
+    vals = [O.omega(i) for i in np.linspace(0.0, 0.99, 30)]
     assert np.all(np.diff(vals) > 0)
 
 
@@ -64,7 +66,7 @@ def test_omega_sampling_oracle():
     L = rng.normal(s * s / 2.0, s, 1_000_000)
     samples = np.tanh(L / 2.0) ** 2
     sem = samples.std() / 1000.0
-    assert abs(de.omega(0.5) - samples.mean()) < 3 * sem
+    assert abs(O.omega(0.5) - samples.mean()) < 3 * sem
 
 
 def test_tables_match_quadrature():
@@ -76,7 +78,7 @@ def test_tables_match_quadrature():
         assert abs(tab.j(x) - de.j_function(x)) < 1e-7
     for mi in [0.0, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
                0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9993, 0.9994]:
-        assert abs(tab.omega(mi) - de.omega(mi)) < 1e-6
+        assert abs(tab.omega(mi) - O.omega(mi)) < 1e-6
     for x in [0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 9.5]:
         assert tab.j_inv(tab.j(x)) == pytest.approx(x, abs=1e-6)
 
@@ -140,7 +142,7 @@ def test_channel_variance_cases():
     assert de.de_channel_variance(t_ed, om(0.0), 0.5, 0.5, 10.0) == \
         pytest.approx(10.0)
     hi = de.de_channel_variance(t_ed, om(0.9999), 0.5, 0.5, 10.0)
-    assert hi == pytest.approx(1 / (896 * de.omega(0.9999) + 0.1), rel=1e-3)
+    assert hi == pytest.approx(1 / (896 * O.omega(0.9999) + 0.1), rel=1e-3)
     vals = [de.de_channel_variance(t_ed, om(i), 0.5, 0.5, 10.0)
             for i in np.linspace(0, 0.999, 20)]
     assert np.all(np.diff(vals) < 1e-15)

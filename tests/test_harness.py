@@ -32,16 +32,17 @@ def test_spec_validation():
         small_spec(snr_db_grid=()).validate()
     with pytest.raises(C.ConfigError, match="mode"):
         small_spec(mode="psychic").validate()
-    for workers in (0, -3, 1.5):
+    for workers in (0, -3, 1.5, True, np.True_):
         with pytest.raises(C.ConfigError, match="workers"):
             small_spec(workers=workers).validate()
-    with pytest.raises(C.ConfigError, match="trials"):
-        small_spec(trials=1.5).validate()
+    for trials in (1.5, True, np.True_):
+        with pytest.raises(C.ConfigError, match="trials"):
+            small_spec(trials=trials).validate()
     # NaN, and dB values whose linear SNR overflows to inf or underflows to 0
     for grid in ((0.0, float("nan")), (4000.0,), (-4000.0,)):
         with pytest.raises(ValueError, match="finite"):
             small_spec(snr_db_grid=grid).validate()
-    for seed in (1.5, float("nan"), "1", -1):
+    for seed in (1.5, float("nan"), "1", -1, True, np.True_):
         with pytest.raises(C.ConfigError, match="master_seed"):
             small_spec(master_seed=seed).validate()
 

@@ -1,11 +1,26 @@
-"""No module in src/gfrma imports a name it never uses, and no module
-defines a private top-level name that no module reads."""
+"""No module in src/gfrma imports a name it never uses, no module defines
+a private top-level name that no module reads or a public one that only
+tests read, and the simulator runs without loading scipy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gfrma"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gfrma"
+
+
+def exported_names(source):
+    """The names a module lists in __all__."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def unused_imports(source):
@@ -13,10 +28,9 @@ def unused_imports(source):
 
     A name listed in __all__ counts as read: that is a re-export.
     """
-    tree = ast.parse(source)
     imported = {}
-    used = set()
-    for node in ast.walk(tree):
+    used = exported_names(source)
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
@@ -26,10 +40,6 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -46,9 +56,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_names(source):
-    """{name: line} of the private names a module binds at its top level
-    by def, class or assignment."""
+def top_level_names(source):
+    """{name: line} of the names a module binds at its top level by def,
+    class or assignment."""
     bound = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -60,13 +70,19 @@ def private_names(source):
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
                         bound[n.id] = node.lineno
-    return {name: line for name, line in bound.items()
+    return bound
+
+
+def private_names(source):
+    """{name: line} of the private names a module binds at its top level."""
+    return {name: line for name, line in top_level_names(source).items()
             if name.startswith("_") and not name.endswith("__")}
 
 
 def names_read(source):
-    """Every name source loads, as a bare name, an attribute or an import
-    from another module."""
+    """Every name source loads, as a bare name, an attribute, an import
+    from another module or a string literal (perfbench names its configs
+    and trace targets as strings)."""
     read = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -75,6 +91,8 @@ def names_read(source):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
     return read
 
 
@@ -100,3 +118,56 @@ def test_detects_unread_private_name():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def names_only_tests_read(defining, readers):
+    """(file, line, name) of each public top-level name of the modules in
+    {file: source} defining that no source in readers reads; the names
+    some module exports in __all__ count as read."""
+    read = set().union(*map(names_read, readers.values()),
+                       *map(exported_names, defining.values()))
+    return sorted((path, line, name) for path, src in defining.items()
+                  for name, line in top_level_names(src).items()
+                  if not name.startswith("_") and name not in read)
+
+
+def test_detects_test_only_name():
+    defining = {
+        "a.py": ("X = 1\nY = 2\n__all__ = ['Z']\ndef Z():\n    pass\n"
+                 "def f():\n    return g()\ndef g():\n    pass\n"
+                 "class K:\n    pass\ndef traced():\n    pass\n_p = 0\n"),
+    }
+    readers = dict(defining, **{
+        "b.py": ("import a\nfrom a import Y\nprint(a.K)\n"
+                 "TARGETS = [('a', 'traced')]\n"),
+    })
+    assert names_only_tests_read(defining, readers) == [("a.py", 1, "X"),
+                                                  ("a.py", 6, "f")]
+
+
+def test_no_test_only_public_names():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for d in ("src/gfrma", "demos", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))}
+    assert names_only_tests_read(defining, readers) == []
+
+
+def test_simulator_never_loads_scipy():
+    # a fresh interpreter: this one has loaded scipy for other tests
+    code = (
+        "import sys\n"
+        "from gfrma import cli, harness\n"
+        "harness.monte_carlo(harness.ExperimentSpec(\n"
+        "    harness.DESK_CONFIG, (-5.0,), trials=1))\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.partition('.')[0] == 'scipy'\n"
+        "              or (m + '.').startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

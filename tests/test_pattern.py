@@ -114,16 +114,18 @@ def test_edges_grouped_by_user(cfg):
 def test_edge_count_concentration():
     cfg = small_cfg(K=30, m=120, T=2000)
     g = P.build_access_graph(cfg)
-    expected = cfg.K * P.expected_edges_per_user(cfg)
+    expected = cfg.K * cfg.T * C.racf_mean_degree(cfg.racf)
     assert abs(g.n_edges - expected) / expected < 0.05
 
 
 def test_expected_edges_per_user():
-    cfg = small_cfg(T=6400)
-    assert P.expected_edges_per_user(cfg) == pytest.approx(896.0)
-    assert P.expected_edges_per_user(small_cfg(racf=C.Racf((1.0,)))) == 0.0
-    cfg1 = small_cfg(T=1, racf=C.Racf((0.0, 1.0)))
-    assert P.expected_edges_per_user(cfg1) == 1.0
+    # T * E[d]: the mean number of (symbol, RE) edges per user
+    def per_user(cfg):
+        return cfg.T * C.racf_mean_degree(cfg.racf)
+
+    assert per_user(small_cfg(T=6400)) == pytest.approx(896.0)
+    assert per_user(small_cfg(racf=C.Racf((1.0,)))) == 0.0
+    assert per_user(small_cfg(T=1, racf=C.Racf((0.0, 1.0)))) == 1.0
 
 
 def test_re_occupancy_distribution():

@@ -13,16 +13,18 @@ from gfrma import pattern as P
 from gfrma import phy
 from gfrma import receiver as R
 
+import oracles as O
+
 
 # ---------------------------------------------------------------------------
 # scalar update rules
 
 def test_interference_moments_trivial():
-    assert R.interference_moments([]) == (0.0, 0.0)
-    mu, var = R.interference_moments([(1.0, 1.0, 0.0, 1e9)])
+    assert O.interference_moments([]) == (0.0, 0.0)
+    mu, var = O.interference_moments([(1.0, 1.0, 0.0, 1e9)])
     assert mu == pytest.approx(1.0)
     assert var == pytest.approx(0.0, abs=1e-12)
-    mu, var = R.interference_moments([(0.5, 1.0, 0.0, 0.0)])
+    mu, var = O.interference_moments([(0.5, 1.0, 0.0, 0.0)])
     assert mu == pytest.approx(0.0) and var == pytest.approx(0.5)
 
 
@@ -53,7 +55,7 @@ def test_interference_moments_enumeration_oracle():
         for _ in range(60):
             idx = rng.integers(0, len(pools), n_contrib)
             contribs = [pools[i] for i in idx]
-            mu, var = R.interference_moments(contribs)
+            mu, var = O.interference_moments(contribs)
             mu_ref, var_ref = _enumerated_moments(contribs)
             assert mu == pytest.approx(mu_ref, abs=1e-12)
             assert var == pytest.approx(var_ref, abs=1e-12)
@@ -63,7 +65,7 @@ def test_interference_moments_random_channel_mc():
     # with channel uncertainty, compare against direct Monte Carlo
     rng = np.random.default_rng(2)
     contribs = [(0.7, 1.2, 0.3, 0.8), (0.4, 0.9, 0.5, -1.5)]
-    mu, var = R.interference_moments(contribs)
+    mu, var = O.interference_moments(contribs)
     n = 400000
     total = np.zeros(n)
     for q, mu_h, xi_h, llr in contribs:
@@ -79,9 +81,9 @@ def test_interference_moments_random_channel_mc():
 
 
 def test_ren_to_vn_examples():
-    assert R.ren_to_vn(1.0, 0.0, 0.5, 0.0, 0.0, 1.0) == pytest.approx(1.0)
-    assert R.ren_to_vn(0.7, 0.2, 1.3, 1.3, 0.4, 0.5) == 0.0
-    big = R.ren_to_vn(1.0, 0.0, 100.0, 0.0, 0.0, 0.1)
+    assert O.ren_to_vn(1.0, 0.0, 0.5, 0.0, 0.0, 1.0) == pytest.approx(1.0)
+    assert O.ren_to_vn(0.7, 0.2, 1.3, 1.3, 0.4, 0.5) == 0.0
+    big = O.ren_to_vn(1.0, 0.0, 100.0, 0.0, 0.0, 0.1)
     assert big == R.LLR_CLAMP          # clamped
 
 
@@ -93,31 +95,31 @@ def test_ren_to_vn_bpsk_limit():
         h = rng.uniform(0.1, 3.0)
         xi_w = rng.uniform(0.5, 5.0)
         exact = 2 * h * y / xi_w
-        got = R.ren_to_vn(h, 0.0, y, 0.0, 0.0, xi_w)
+        got = O.ren_to_vn(h, 0.0, y, 0.0, 0.0, xi_w)
         assert got == pytest.approx(np.clip(exact, -30, 30), abs=1e-12)
 
 
 def test_vn_total():
-    assert R.vn_total([]) == 0.0
-    assert R.vn_total([1.0, -0.5, 0.25]) == pytest.approx(0.75)
-    assert R.vn_total([-2.0]) == -2.0
+    assert O.vn_total([]) == 0.0
+    assert O.vn_total([1.0, -0.5, 0.25]) == pytest.approx(0.75)
+    assert O.vn_total([-2.0]) == -2.0
 
 
 def test_channel_edge_estimate_examples():
-    assert R.channel_edge_estimate(0.0, 1.0, 0.3, 0.2, 0.1) == (0.0, 0.0)
-    w, wm = R.channel_edge_estimate(1e6, 1.0, 0.2, 0.7, 0.3)
+    assert O.channel_edge_estimate(0.0, 1.0, 0.3, 0.2, 0.1) == (0.0, 0.0)
+    w, wm = O.channel_edge_estimate(1e6, 1.0, 0.2, 0.7, 0.3)
     assert w == pytest.approx(1.0) and wm == pytest.approx(0.8)
     # tanh(L/2) = 0.5, y - mu_i = 0.4, denom 1 -> estimate 0.8, variance 4
     Lval = 2 * np.arctanh(0.5)
-    w, wm = R.channel_edge_estimate(Lval, 0.4, 0.0, 0.6, 0.4)
+    w, wm = O.channel_edge_estimate(Lval, 0.4, 0.0, 0.6, 0.4)
     assert w == pytest.approx(0.25) and wm == pytest.approx(0.2)
 
 
 def test_usn_combine_examples():
-    assert R.usn_combine([], 1.0, 10.0) == (1.0, 10.0)
-    mu, xi = R.usn_combine([(1.0, 1.0)], 1.0, 10.0)
+    assert O.usn_combine([], 1.0, 10.0) == (1.0, 10.0)
+    mu, xi = O.usn_combine([(1.0, 1.0)], 1.0, 10.0)
     assert mu == pytest.approx(1.0) and xi == pytest.approx(1 / 1.1)
-    mu, xi = R.usn_combine([(1.0, 2.0), (1.0, 0.0)], 1.0, 1e12)
+    mu, xi = O.usn_combine([(1.0, 2.0), (1.0, 0.0)], 1.0, 1e12)
     assert mu == pytest.approx(1.0, abs=1e-9)
     assert xi == pytest.approx(0.5, abs=1e-9)
 
@@ -133,7 +135,7 @@ def test_usn_combine_grid_oracle():
         vars_ = rng.uniform(0.3, 4.0, n_edges)
         pm, pv = rng.normal(1.0, 0.5), rng.uniform(0.5, 8.0)
         pairs = [(1 / v, m / v) for m, v in zip(means, vars_)]
-        mu, xi = R.usn_combine(pairs, pm, pv)
+        mu, xi = O.usn_combine(pairs, pm, pv)
         logpdf = -(grid - pm) ** 2 / (2 * pv)
         for m, v in zip(means, vars_):
             logpdf = logpdf - (grid - m) ** 2 / (2 * v)
@@ -146,18 +148,18 @@ def test_usn_combine_grid_oracle():
 
 
 def test_activity_posterior_examples():
-    assert R.activity_posterior(0.3, 1.0, 1.0, 1.0, 1.0) == 1.0 - R.Q_FLOOR
-    q = R.activity_posterior(1.0, 1.0, 1.0, 1.0, 0.5)
+    assert O.activity_posterior(0.3, 1.0, 1.0, 1.0, 1.0) == 1.0 - R.Q_FLOOR
+    q = O.activity_posterior(1.0, 1.0, 1.0, 1.0, 0.5)
     assert q == pytest.approx(1 / (1 + math.exp(-0.5)), abs=1e-12)
     assert q == pytest.approx(0.6225, abs=1e-4)
-    q = R.activity_posterior(0.0, 1.0, 10.0, 1.0, 0.5)
+    q = O.activity_posterior(0.0, 1.0, 10.0, 1.0, 0.5)
     assert q == pytest.approx(math.exp(-50), rel=1e-6)
 
 
 def test_activity_posterior_bounds():
     rng = np.random.default_rng(6)
     for _ in range(200):
-        q = R.activity_posterior(rng.normal(0, 5), rng.uniform(1e-6, 10),
+        q = O.activity_posterior(rng.normal(0, 5), rng.uniform(1e-6, 10),
                                  rng.normal(0, 3), rng.uniform(1e-3, 20),
                                  rng.random())
         assert R.Q_FLOOR <= q <= 1 - R.Q_FLOOR
@@ -168,7 +170,7 @@ def test_usn_variance_monotone_in_edges():
     pairs = [(1 / 0.8, 0.5 / 0.8)] * 10
     prev = np.inf
     for n in range(len(pairs) + 1):
-        _, xi = R.usn_combine(pairs[:n], 1.0, 10.0)
+        _, xi = O.usn_combine(pairs[:n], 1.0, 10.0)
         assert xi <= prev + 1e-15
         prev = xi
 
@@ -219,9 +221,9 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
         t = graph.edge_re[e]
         contribs = [(cfg.p_a, cfg.prior.mean, cfg.prior.var, 0.0)
                     for e2 in np.flatnonzero(graph.edge_re == t) if e2 != e]
-        mu_i, xi_i = R.interference_moments(contribs)
+        mu_i, xi_i = O.interference_moments(contribs)
         moments.append((mu_i, xi_i))
-        r2v[e] = R.ren_to_vn(cfg.prior.mean, cfg.prior.var, y[t], mu_i,
+        r2v[e] = O.ren_to_vn(cfg.prior.mean, cfg.prior.var, y[t], mu_i,
                              xi_i, cfg.noise_variance)
 
     # the LDPC step's channel LLRs: per live user and symbol, the sum of
@@ -232,7 +234,7 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
         for j in range(pc.n):
             edges = np.flatnonzero((graph.edge_user == k)
                                    & (graph.edge_sym == j))
-            assert Lch[row, j] == pytest.approx(R.vn_total(r2v[edges]),
+            assert Lch[row, j] == pytest.approx(O.vn_total(r2v[edges]),
                                                 abs=1e-9)
 
     # extrinsic symbol -> RE messages: posterior minus the edge's own message
@@ -246,12 +248,12 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
         pairs = []
         for e in np.flatnonzero(graph.edge_user == k):
             mu_i, xi_i = moments[e]
-            pairs.append(R.channel_edge_estimate(
+            pairs.append(O.channel_edge_estimate(
                 v2r[e], y[graph.edge_re[e]], mu_i, xi_i, cfg.noise_variance))
-        mu, xi = R.usn_combine(pairs, cfg.prior.mean, cfg.prior.var)
+        mu, xi = O.usn_combine(pairs, cfg.prior.mean, cfg.prior.var)
         assert out.mu_h[k] == pytest.approx(mu, abs=1e-9)
         assert out.xi_h[k] == pytest.approx(xi, abs=1e-9)
-        ref_q = R.activity_posterior(mu, xi, cfg.prior.mean, cfg.prior.var,
+        ref_q = O.activity_posterior(mu, xi, cfg.prior.mean, cfg.prior.var,
                                      cfg.p_a)
         assert out.q[k] == pytest.approx(ref_q, abs=1e-9)
 
