@@ -8,8 +8,8 @@ from gfrma import pattern as P
 from gfrma.harness import DESK_CONFIG
 
 cfg = C.validate_config(DESK_CONFIG)
-print("system:", cfg.K, "users, p_a =", cfg.p_a, "->",
-      int(np.ceil(cfg.K * cfg.p_a)), "active per cycle")
+print("system:", cfg.K, "users, p_a =", cfg.p_a, "->", cfg.n_active,
+      "active per cycle")
 print("packet:", cfg.m, "info bits ->", cfg.N, "coded symbols (rate",
       cfg.code_rate, ")")
 print("block:", cfg.T, "resource elements, degree pmf", cfg.racf.probs)

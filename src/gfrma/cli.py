@@ -37,18 +37,20 @@ def _add_options(p, snr=False, run=False, out=False):
         p.add_argument("--out", default=None)
 
 
-def cmd_sim(args):
+def _spec(args):
+    """The sweep that sim and sweep run, at the config's seed."""
     cfg = _load_config(args)
-    grid = _snr_grid(args)
-    if len(grid) != 1:
-        raise ConfigError(f"sim runs one SNR point, got {len(grid)}; "
-                          "use sweep for a grid")
-    spec = harness.ExperimentSpec(cfg, grid, trials=args.trials,
-                                  mode=args.mode,
-                                  master_seed=cfg.system_seed,
-                                  workers=args.workers)
-    result = harness.monte_carlo(spec)
-    p = result.points[0]
+    return harness.ExperimentSpec(cfg, _snr_grid(args), trials=args.trials,
+                                  mode=args.mode, workers=args.workers,
+                                  master_seed=cfg.system_seed)
+
+
+def cmd_sim(args):
+    spec = _spec(args)
+    if len(spec.snr_db_grid) != 1:
+        raise ConfigError(f"sim runs one SNR point, got "
+                          f"{len(spec.snr_db_grid)}; use sweep for a grid")
+    (p,) = harness.monte_carlo(spec).points
     print(f"snr_db={p.snr_db:g} trials={p.trials} bler={p.bler:.4g} "
           f"ber={p.ber:.4g} miss={p.miss_rate:.4g} "
           f"fa={p.false_alarm_rate:.4g} iters={p.mean_iterations:.4g}")
@@ -56,12 +58,7 @@ def cmd_sim(args):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args)
-    grid = _snr_grid(args)
-    spec = harness.ExperimentSpec(cfg, grid, trials=args.trials,
-                                  mode=args.mode,
-                                  master_seed=cfg.system_seed,
-                                  workers=args.workers)
+    spec = _spec(args)
     result = harness.monte_carlo(spec)
     if args.with_de:
         harness.attach_de(result, spec)

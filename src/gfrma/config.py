@@ -73,11 +73,15 @@ class SystemConfig:
     max_iterations: int = 100
     activity_threshold: float = 0.5
     d_v: int = 3                     # LDPC variable degree
-    activity_mode: str = "fixed"     # "fixed" (ceil(K*p_a) actives) or "bernoulli"
+    activity_mode: str = "fixed"     # "fixed" (n_active actives) or "bernoulli"
 
     @property
     def N(self):
         return int(round(self.m / self.code_rate))
+
+    @property
+    def n_active(self):
+        return math.ceil(self.K * self.p_a)     # nominal active count
 
     def true_gains(self):
         """Per-user channel amplitudes as an array of length K."""
@@ -90,6 +94,8 @@ class SystemConfig:
 
 
 def validate_racf(racf):
+    if not isinstance(racf.probs, tuple):     # DE caches per hashable config
+        raise ConfigError("RACf probs must be a tuple")
     p = np.asarray(racf.probs, dtype=float)
     if racf.d_max < 1:
         raise ConfigError("RACf d_max must be >= 1")
@@ -109,28 +115,36 @@ def _is_int(v):
             and not isinstance(v, (bool, np.bool_)))
 
 
+def _is_finite(v):
+    """A finite real number, and not a bool (True would pass as 1.0)."""
+    return _is_int(v) or (isinstance(v, (float, np.floating))
+                          and math.isfinite(v))
+
+
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant; returns cfg unchanged if valid."""
     validate_racf(cfg.racf)
-    if not (0 < cfg.p_a <= 1):
-        raise ConfigError(f"p_a = {cfg.p_a} outside (0, 1]")
+    if not (_is_finite(cfg.p_a) and 0 < cfg.p_a <= 1):
+        raise ConfigError(f"p_a = {cfg.p_a!r} outside (0, 1]")
     for name in ("K", "m", "T"):
         v = getattr(cfg, name)
         if not (_is_int(v) and v > 0):
             raise ConfigError(f"{name} = {v} must be a positive integer")
-    if not (0 < cfg.code_rate < 1):
-        raise ConfigError(f"code_rate = {cfg.code_rate} outside (0, 1)")
+    for name in ("code_rate", "activity_threshold"):
+        v = getattr(cfg, name)
+        if not (_is_finite(v) and 0 < v < 1):
+            raise ConfigError(f"{name} = {v!r} outside (0, 1)")
     n_exact = cfg.m / cfg.code_rate
     if abs(n_exact - round(n_exact)) > 1e-9:
         raise ConfigError(f"N non-integer: m/code_rate = {n_exact:.6g}")
     if cfg.racf.d_max > cfg.N:
         raise ConfigError(f"RACf d_max = {cfg.racf.d_max} exceeds N = {cfg.N}")
-    if not math.isfinite(cfg.prior.mean):
-        raise ConfigError("channel prior mean must be finite")
-    if not (math.isfinite(cfg.prior.var) and cfg.prior.var > 0):
-        raise ConfigError("channel prior variance must be finite and > 0")
-    if not (math.isfinite(cfg.noise_variance) and cfg.noise_variance > 0):
-        raise ConfigError("noise_variance must be finite and > 0")
+    if not _is_finite(cfg.prior.mean):
+        raise ConfigError("prior.mean must be a finite number")
+    if not (_is_finite(cfg.prior.var) and cfg.prior.var > 0):
+        raise ConfigError("prior.var must be a finite number > 0")
+    if not (_is_finite(cfg.noise_variance) and cfg.noise_variance > 0):
+        raise ConfigError("noise_variance must be a finite number > 0")
     g = cfg.true_gains()
     if len(g) != cfg.K:
         raise ConfigError(f"gains has length {len(g)}, expected K = {cfg.K}")
@@ -138,8 +152,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError("channel gains must be finite and >= 0")
     if not (_is_int(cfg.max_iterations) and cfg.max_iterations >= 1):
         raise ConfigError("max_iterations must be an integer >= 1")
-    if not (0 < cfg.activity_threshold < 1):
-        raise ConfigError("activity_threshold must be in (0, 1)")
     if not (_is_int(cfg.d_v) and cfg.d_v >= 2):
         raise ConfigError("d_v must be an integer >= 2")
     if cfg.d_v > cfg.N - cfg.m:

@@ -354,7 +354,7 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
 
 
 def write_de_trace(cfg: SystemConfig, active_gains, gamma_db_list, path,
-                   threshold_db=None):
+                   threshold_db):
     """CSV trace: gamma_db, iteration, user, mi, xi_h, xi_sigma."""
     with open(path, "w", newline="") as f:
         f.write("gamma_db,iteration,user,mi,xi_h,xi_sigma\n")
@@ -368,5 +368,4 @@ def write_de_trace(cfg: SystemConfig, active_gains, gamma_db_list, path,
                     f.write(f"{gdb:.6g},{st.iteration},{k},"
                             f"{st.mi[k]:.10g},{st.xi_h[k]:.10g},"
                             f"{st.xi_s:.10g}\n")
-        if threshold_db is not None:
-            f.write(f"# gamma_th_db,{threshold_db:.6g}\n")
+        f.write(f"# gamma_th_db,{threshold_db:.6g}\n")

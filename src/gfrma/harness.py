@@ -5,7 +5,6 @@ results are byte-identical regardless of worker count or scheduling.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -20,12 +19,13 @@ from .config import (ConfigError, SystemConfig, _is_int, db_to_linear,
 from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
-CSV_HEADER = ("snr_db,trials,bler,ber,miss_rate,false_alarm_rate,"
-              "mean_iterations,bler_ci95")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """`trials` trials of cfg at each SNR point. master_seed is the seed
+    the sweep runs: it overrides cfg.system_seed (see base)."""
+
     cfg: SystemConfig
     snr_db_grid: tuple
     trials: int = 200
@@ -33,13 +33,16 @@ class ExperimentSpec:
     master_seed: int = 1
     workers: int = 1
 
+    @property
+    def base(self):
+        """cfg at master_seed: the config monte_carlo and attach_de run."""
+        return dataclasses.replace(self.cfg, system_seed=self.master_seed)
+
     def validate(self):
         if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ConfigError(f"master_seed = {self.master_seed!r} must be "
                               "an integer >= 0")
-        # the config monte_carlo and attach_de run
-        validate_config(dataclasses.replace(self.cfg,
-                                            system_seed=self.master_seed))
+        validate_config(self.base)
         for name in ("trials", "workers"):
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
@@ -69,9 +72,16 @@ class ExperimentResult:
 
 
 def expected_active_gains(cfg: SystemConfig):
-    """Gains of the nominal active set (ceil(K p_a) users at the shared gain)."""
-    n_active = int(np.ceil(cfg.K * cfg.p_a))
-    return cfg.true_gains()[:n_active]
+    """The nominal active set's gains: the first cfg.n_active users'."""
+    return cfg.true_gains()[:cfg.n_active]
+
+
+def _point_configs(base: SystemConfig, snr_db_grid):
+    """base with each SNR point's noise variance for the nominal set."""
+    gains = expected_active_gains(base)
+    return [base.with_noise_variance(
+                noise_variance_for_snr(base, db_to_linear(snr_db), gains))
+            for snr_db in snr_db_grid]
 
 
 def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
@@ -82,7 +92,7 @@ def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
     if mode in ("registration", "genie-csi"):
         kwargs["known_active"] = truth.active
     if mode == "genie-csi":
-        kwargs["pinned_csi"] = (truth.gains, 1e-6)
+        kwargs["known_gains"] = truth.gains
     return truth, receiver.joint_decode(cfg, y, graph, pc, **kwargs)
 
 
@@ -101,10 +111,15 @@ def trial_stats(cfg, truth, outcome):
             n_active * cfg.m, misses, false_alarms, int((~active).sum()))
 
 
-def wilson_halfwidth(errors, n, z=1.96):
+def _rate(count, n):
+    return count / n if n else float("nan")
+
+
+def wilson_halfwidth(errors, n):
     """Half-width of the Wilson 95% interval for a binomial rate."""
     if n == 0:
         return float("nan")
+    z = 1.96
     p = errors / n
     denom = 1.0 + z * z / n
     return z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -127,83 +142,61 @@ def _pool_trial(cfg, trial_index):
 def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     """Aggregate run_trial over the SNR grid.
 
-    With workers > 1, one pool serves the whole sweep: the code and the
-    graph reach each worker once, the per-point config with each task.
+    One task list holds every (point config, trial): with workers > 1, one
+    pool runs it, and the code and the graph reach each worker once.
     """
     spec.validate()
-    base = dataclasses.replace(spec.cfg, system_seed=spec.master_seed)
+    base = spec.base
     pc = ldpc.construct_parity_check(base.m, base.code_rate, base.d_v,
                                      base.system_seed)
     graph = build_access_graph(base)
-    gains = expected_active_gains(base)
+    tasks = [(cfg, i) for cfg in _point_configs(base, spec.snr_db_grid)
+             for i in range(spec.trials)]
+    if spec.workers > 1:
+        with multiprocessing.Pool(spec.workers, _pool_init,
+                                  (pc, graph, spec.mode)) as pool:
+            rows = pool.starmap(_pool_trial, tasks)
+    else:
+        _pool_init(pc, graph, spec.mode)
+        rows = [_pool_trial(*task) for task in tasks]
+    # deterministic reduction in trial order, one row of sums per point
+    sums = np.asarray(rows, dtype=float).reshape(
+        len(spec.snr_db_grid), spec.trials, -1).sum(axis=1)
     points = []
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if spec.workers > 1:
-            pool = stack.enter_context(multiprocessing.Pool(
-                spec.workers, initializer=_pool_init,
-                initargs=(pc, graph, spec.mode)))
-        else:
-            _pool_init(pc, graph, spec.mode)
-        for snr_db in spec.snr_db_grid:
-            xi_w = noise_variance_for_snr(base, db_to_linear(snr_db), gains)
-            cfg = base.with_noise_variance(xi_w)
-            tasks = [(cfg, i) for i in range(spec.trials)]
-            if pool is not None:
-                rows = pool.starmap(_pool_trial, tasks)
-            else:
-                rows = [_pool_trial(*task) for task in tasks]
-            # deterministic reduction in trial order
-            agg = np.sum(np.asarray(rows, dtype=float), axis=0)
-            (n_active, block_err, bit_err, n_bits, misses,
-             false_alarms, n_inactive, iter_sum) = agg
-            points.append(PointResult(
-                snr_db=float(snr_db),
-                trials=spec.trials,
-                bler=block_err / n_active if n_active else float("nan"),
-                ber=bit_err / n_bits if n_bits else float("nan"),
-                miss_rate=misses / n_active if n_active else float("nan"),
-                false_alarm_rate=(false_alarms / n_inactive
-                                  if n_inactive else float("nan")),
-                mean_iterations=iter_sum / spec.trials,
-                bler_ci95=wilson_halfwidth(block_err, n_active),
-            ))
+    for snr_db, (n_active, block_err, bit_err, n_bits, misses,
+                 false_alarms, n_inactive, iter_sum) in zip(spec.snr_db_grid,
+                                                            sums):
+        points.append(PointResult(
+            float(snr_db), spec.trials, _rate(block_err, n_active),
+            _rate(bit_err, n_bits), _rate(misses, n_active),
+            _rate(false_alarms, n_inactive), iter_sum / spec.trials,
+            wilson_halfwidth(block_err, n_active)))
     return ExperimentResult(points)
 
 
 def attach_de(result: ExperimentResult, spec: ExperimentSpec):
-    """Add the converged-MI column from the DE recursion."""
+    """Add the converged-MI column: DE at each of result's points, for
+    spec's config at master_seed."""
     # imported here, so that a sweep without DE never loads scipy
     from . import de
-    base = dataclasses.replace(spec.cfg, system_seed=spec.master_seed)
-    gains = expected_active_gains(base)
-    mis = []
-    for snr_db in spec.snr_db_grid:
-        xi_w = noise_variance_for_snr(base, db_to_linear(snr_db), gains)
-        final = de.run_de(base.with_noise_variance(xi_w), gains)
-        mis.append(float(np.min(final.mi)))
-    result.de_mi = mis
+    gains = expected_active_gains(spec.base)
+    grid = [p.snr_db for p in result.points]
+    result.de_mi = [float(np.min(de.run_de(cfg, gains).mi))
+                    for cfg in _point_configs(spec.base, grid)]
     return result
-
-
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.6g}"
 
 
 def snr_sweep_report(result: ExperimentResult, path):
     """Write the sweep CSV (RFC-4180, LF line endings)."""
-    header = CSV_HEADER + (",de_mi" if result.de_mi is not None else "")
+    header = [f.name for f in dataclasses.fields(PointResult)]
+    rows = [dataclasses.astuple(p) for p in result.points]
+    if result.de_mi is not None:
+        header.append("de_mi")
+        rows = [row + (mi,) for row, mi in zip(rows, result.de_mi)]
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for i, p in enumerate(result.points):
-            row = [_fmt(p.snr_db), str(p.trials), _fmt(p.bler), _fmt(p.ber),
-                   _fmt(p.miss_rate), _fmt(p.false_alarm_rate),
-                   _fmt(p.mean_iterations), _fmt(p.bler_ci95)]
-            if result.de_mi is not None:
-                row.append(_fmt(result.de_mi[i]))
-            f.write(",".join(row) + "\n")
+        for row in [header, *rows]:
+            f.write(",".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
 
 
 # Desk-scale profile used throughout the demos and acceptance runs.

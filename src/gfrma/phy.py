@@ -33,16 +33,14 @@ class TrialGroundTruth:
 def sample_activity(cfg: SystemConfig, trial_seed) -> np.ndarray:
     """Bool activity vector; deterministic in trial_seed.
 
-    "fixed" mode activates exactly ceil(K * p_a) uniformly chosen users;
+    "fixed" mode activates exactly cfg.n_active uniformly chosen users;
     "bernoulli" mode activates each user independently with probability p_a.
     """
     rng = np.random.default_rng(mix(trial_seed, _TAG_ACTIVITY))
+    if cfg.activity_mode == "bernoulli":
+        return rng.random(cfg.K) < cfg.p_a
     active = np.zeros(cfg.K, dtype=bool)
-    if cfg.activity_mode == "fixed":
-        n_active = int(np.ceil(cfg.K * cfg.p_a))
-        active[rng.choice(cfg.K, size=n_active, replace=False)] = True
-    else:
-        active = rng.random(cfg.K) < cfg.p_a
+    active[rng.choice(cfg.K, size=cfg.n_active, replace=False)] = True
     return active
 
 

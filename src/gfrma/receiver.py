@@ -23,6 +23,7 @@ LLR_CLAMP = ldpc.LLR_CLAMP
 Q_FLOOR = 1e-12
 # stop once no posterior LLR moves by more than this between iterations
 STALL_TOL = 1e-7
+KNOWN_GAIN_VAR = 1e-6
 
 
 @dataclass
@@ -38,17 +39,19 @@ class TrialOutcome:
 
 def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
                  pc: ldpc.ParityCheck, known_active=None,
-                 pinned_csi=None) -> TrialOutcome:
+                 known_gains=None) -> TrialOutcome:
     """Run the full joint iteration on one received block.
 
     known_active: bool mask for the registration-based baseline; users known
     inactive are removed from the graph and actives have q pinned to 1.
-    pinned_csi: (gains, variance) for the genie baseline; channel estimates
-    are pinned instead of estimated.
+    known_gains: per-user amplitudes for the genie baseline; channel
+    estimates are held there (variance KNOWN_GAIN_VAR), not estimated.
 
     Stops when every declared user passes its syndrome, when no posterior
     LLR moves by more than STALL_TOL, or after cfg.max_iterations.
     """
+    if cfg.max_iterations < 1:
+        raise ValueError(f"max_iterations = {cfg.max_iterations} < 1")
     y = np.asarray(received, dtype=float)
     if known_active is not None:
         known_active = np.asarray(known_active, dtype=bool)
@@ -73,14 +76,12 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         q = np.full(cfg.K, cfg.p_a)
     else:
         q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
-    if pinned_csi is None:
+    if known_gains is None:
         mu_h = np.full(cfg.K, prior.mean)
         xi_h = np.full(cfg.K, prior.var)
     else:
-        gains, var = pinned_csi
-        # a copy, so the outcome never aliases the caller's gains
-        mu_h = np.asarray(gains, dtype=float).copy()
-        xi_h = np.full(cfg.K, var)
+        mu_h = np.array(known_gains, dtype=float)   # a copy, not aliased
+        xi_h = np.full(cfg.K, KNOWN_GAIN_VAR)
 
     c2v = np.zeros((n_live, len(pc.layout.edge_var)))
     c2v_sum = np.zeros((n_live, pc.n))
@@ -114,7 +115,7 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
         m_soft = np.tanh(v2r / 2.0)
 
         # (4) symbol-wise channel estimates, fused per user
-        if pinned_csi is None:
+        if known_gains is None:
             denom = xi_i + xi_w
             w = m_soft * m_soft / denom
             wm = resid * m_soft / denom

@@ -21,6 +21,24 @@ def test_sim_command(tmp_path, capsys):
     assert "snr_db=2" in out and "bler=" in out
 
 
+def test_sim_prints_the_sweep_row(tmp_path, capsys):
+    # same config, seed, trials and SNR: the same rates, to sim's digits
+    cfg = write_cfg(tmp_path)
+    argv = ["--config", cfg, "--seed", "4", "--trials", "3", "--snr-db", "2"]
+    assert cli.main(["sim", *argv]) == 0
+    printed = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 0
+    header, row = out.read_text().split()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert printed["snr_db"] == row["snr_db"] == "2"
+    assert printed["trials"] == row["trials"] == "3"
+    for key, col in (("bler", "bler"), ("ber", "ber"), ("miss", "miss_rate"),
+                     ("fa", "false_alarm_rate"),
+                     ("iters", "mean_iterations")):
+        assert printed[key] == f"{float(row[col]):.4g}", key
+
+
 def test_sweep_command_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "sweep.csv"

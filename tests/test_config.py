@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -207,3 +208,24 @@ def test_bool_is_not_an_integer(field, value):
     # True would otherwise pass as 1, and K = True reach np.ones
     with pytest.raises(C.ConfigError, match=rf"^{field}\b"):
         C.validate_config(paper_like_config(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "np.bool_"])
+@pytest.mark.parametrize("field", ["p_a", "code_rate", "noise_variance",
+                                   "activity_threshold", "prior.mean",
+                                   "prior.var"])
+def test_bool_is_not_a_real(field, value):
+    # p_a = True would otherwise make every user active
+    if field.startswith("prior."):
+        kw = {"prior": C.ChannelPrior(**{field[len("prior."):]: value})}
+    else:
+        kw = {field: value}
+    with pytest.raises(C.ConfigError, match=rf"^{re.escape(field)}\b"):
+        C.validate_config(paper_like_config(**kw))
+
+
+def test_racf_probs_must_be_a_tuple():
+    # a list validated, then failed in DE's cached per-code constants
+    racf = C.Racf([0.90, 0.06, 0.04])
+    with pytest.raises(C.ConfigError, match="tuple"):
+        C.validate_config(paper_like_config(racf=racf))

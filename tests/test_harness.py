@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,6 +190,13 @@ def test_workers_do_not_change_results(tmp_path):
     H.snr_sweep_report(H.monte_carlo(spec1), a)
     H.snr_sweep_report(H.monte_carlo(spec2), b)
     assert a.read_bytes() == b.read_bytes()
+    # the pool is gone once monte_carlo returns
+    assert multiprocessing.active_children() == []
+
+
+def test_master_seed_overrides_cfg_seed():
+    spec = small_spec()             # cfg at system_seed 3, master_seed 5
+    assert spec.base == dataclasses.replace(spec.cfg, system_seed=5)
 
 
 def test_attach_de_and_report(tmp_path):
@@ -204,9 +212,20 @@ def test_attach_de_and_report(tmp_path):
     assert len(lines[1].split(",")) == 9
 
 
+def test_attach_de_follows_the_result_points():
+    # DE runs at the result's points, whatever grid the spec holds
+    spec = small_spec(trials=1, snr_db_grid=(-6.0, 0.0, 6.0))
+    points = H.monte_carlo(spec).points
+    other = dataclasses.replace(spec, snr_db_grid=(2.0,))
+    got = H.attach_de(H.ExperimentResult(points), other).de_mi
+    assert len(got) == len(points)
+    assert got == H.attach_de(H.ExperimentResult(points), spec).de_mi
+
+
 def test_profiles_are_valid():
     C.validate_config(H.DESK_CONFIG)
     C.validate_config(H.PAPER_CONFIG)
     assert H.PAPER_CONFIG.N == 400
-    assert int(np.ceil(H.PAPER_CONFIG.K * H.PAPER_CONFIG.p_a)) == 10
+    assert H.PAPER_CONFIG.n_active == 10
+    assert H.DESK_CONFIG.n_active == 3
     assert len(H.expected_active_gains(H.DESK_CONFIG)) == 3

@@ -299,6 +299,14 @@ def test_outcome_consistency(tiny):
     assert 1 <= out.iterations <= cfg.max_iterations
 
 
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_joint_decode_needs_an_iteration(tiny, max_iterations):
+    cfg, pc, graph = tiny
+    cfg = dataclasses.replace(cfg, max_iterations=max_iterations)
+    with pytest.raises(ValueError, match="max_iterations"):
+        R.joint_decode(cfg, np.zeros(cfg.T), graph, pc)
+
+
 def test_registration_mode_pins_activity(tiny):
     cfg, pc, graph = tiny
     truth = phy.make_ground_truth(cfg, pc, 4)
