@@ -69,7 +69,8 @@ def cmd_sweep(args):
 
 
 def cmd_de(args):
-    # imported here, so that sim, sweep and graph-dump never load scipy
+    # imported here: de's import builds its quadrature rules (about
+    # 20 ms), which sim, sweep and graph-dump do not need
     from . import de
     cfg = _load_config(args)
     grid = validate_snr_db_grid(_snr_grid(args))

@@ -96,6 +96,8 @@ class SystemConfig:
 def validate_racf(racf):
     if not isinstance(racf.probs, tuple):     # DE caches per hashable config
         raise ConfigError("RACf probs must be a tuple")
+    if any(map(_is_bool, racf.probs)):
+        raise ConfigError("racf.probs must be real numbers, not bools")
     p = np.asarray(racf.probs, dtype=float)
     if racf.d_max < 1:
         raise ConfigError("RACf d_max must be >= 1")
@@ -109,10 +111,14 @@ def validate_racf(racf):
     return racf
 
 
+def _is_bool(v):
+    """A bool or numpy bool, which int and float checks would accept."""
+    return isinstance(v, (bool, np.bool_))
+
+
 def _is_int(v):
     """An int or numpy integer, and not a bool (True would pass as 1)."""
-    return (isinstance(v, (int, np.integer))
-            and not isinstance(v, (bool, np.bool_)))
+    return isinstance(v, (int, np.integer)) and not _is_bool(v)
 
 
 def _is_finite(v):
@@ -145,6 +151,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError("prior.var must be a finite number > 0")
     if not (_is_finite(cfg.noise_variance) and cfg.noise_variance > 0):
         raise ConfigError("noise_variance must be a finite number > 0")
+    # checked before true_gains(), whose float conversion reads True as 1.0
+    if cfg.gains is not None and any(map(_is_bool, cfg.gains)):
+        raise ConfigError("gains must be real numbers, not bools")
     g = cfg.true_gains()
     if len(g) != cfg.K:
         raise ConfigError(f"gains has length {len(g)}, expected K = {cfg.K}")

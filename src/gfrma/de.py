@@ -15,10 +15,12 @@ the check-degree profile are built once per code by _code_constants().
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
 by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
-inverse table. j_function and j_inverse are the adaptive-quadrature forms
-of J and J^-1, kept as the reference the tables are tested against (J to
-~1e-8, Omega to ~1e-6 against the tests' quadrature Omega, far below the
-threshold tolerance).
+inverse table. The splines are _Pchip, a numpy monotone cubic (Fritsch &
+Carlson) that returns scipy's PchipInterpolator values bit for bit, so DE
+runs on numpy alone. j_function and j_inverse are the adaptive-quadrature
+forms of J and J^-1, kept as the reference the tables are tested against
+(J to ~1e-8, Omega to ~1e-6 against the tests' quadrature Omega, far below
+the threshold tolerance); they alone import scipy, when called.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
 
 from .config import (ConfigError, SystemConfig, db_to_linear,
                      noise_variance_for_snr, racf_mean_degree)
@@ -63,6 +64,7 @@ def j_function(x):
         raise ValueError("j_function requires x >= 0")
     if x == 0.0:
         return 0.0
+    from scipy import integrate
 
     def integrand(u):
         # substitution xi = x^2/2 + x*u, u ~ N(0,1); stable softplus
@@ -82,6 +84,7 @@ def j_inverse(mi):
         raise ValueError("j_inverse requires 0 <= mi < 1")
     if mi == 0.0:
         return 0.0
+    from scipy import optimize
     hi = 1.0
     while j_function(hi) < mi:
         hi *= 2.0
@@ -110,6 +113,52 @@ def _gauss_mean(f, s):
     return acc
 
 
+class _Pchip:
+    """Monotone piecewise-cubic interpolant through (x, y), x strictly
+    increasing with at least 3 knots: Fritsch & Carlson's slopes with
+    Moler's three-point end slopes, as scipy's PchipInterpolator, whose
+    values it returns bit for bit. The end pieces extrapolate.
+
+    One (5, n-1) table holds each piece's left knot and its power-basis
+    coefficients, so a call is one search and one gather; the sum runs in
+    the order PPoly's evaluator adds the terms.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        # interior: the weighted harmonic mean of the two slopes, or 0
+        # where either is flat or they change sign
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0) | (m[:-1] == 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(
+                flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        # ends: the three-point estimate, 0 if its sign is not the end
+        # slope's, capped at 3 times that slope where the slopes change sign
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        cap = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
+                              np.where(cap, 3.0 * m0, e))
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # 0.0 + y turns -0.0 into 0.0, as PPoly's sum starting at 0.0 does
+        self._c = np.stack([x[:-1], 0.0 + y[:-1], d[:-1],
+                            (m - d[:-1]) / h - t, t / h])
+        self._inner = x[1:-1]
+
+    def __call__(self, v):
+        # rows: left knot, then the coefficients of s^0 .. s^3; indexing
+        # the rows costs a third of unpacking them
+        p = self._c.take(self._inner.searchsorted(v, "right"), 1)
+        s = v - p[0]
+        s2 = s * s
+        return p[1] + p[2] * s + p[3] * s2 + p[4] * (s2 * s)
+
+
 class _Tables:
     """Spline tables for the DE hot path, built once by _tables().
 
@@ -123,14 +172,14 @@ class _Tables:
         jv = 1.0 - _gauss_mean(lambda v: np.logaddexp(0.0, -v), x) \
             / math.log(2.0)
         jv[x == 0.0] = 0.0     # exactly, as j_function(0)
-        self._j = interpolate.PchipInterpolator(x, jv)
+        self._j = _Pchip(x, jv)
         # strictly increasing part for the inverse
         keep = np.concatenate([[True], np.diff(jv) > 1e-15])
-        self._j_inv = interpolate.PchipInterpolator(jv[keep], x[keep])
+        self._j_inv = _Pchip(jv[keep], x[keep])
         self._j_max = jv[keep][-1]
         iv = np.linspace(0.0, 0.9995, 500)
         ov = _gauss_mean(lambda v: np.tanh(v / 2.0) ** 2, self._j_inv(iv))
-        self._omega = interpolate.PchipInterpolator(iv, ov)
+        self._omega = _Pchip(iv, ov)
 
     # np.minimum/np.maximum clamp as np.clip does, without its wrapper
     def j(self, x):

@@ -86,6 +86,8 @@ def _point_configs(base: SystemConfig, snr_db_grid):
 
 def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
     """One end-to-end trial; returns (truth, TrialOutcome)."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
     truth = phy.make_ground_truth(cfg, pc, trial_index)
     y = phy.superpose(cfg, truth, graph)
     kwargs = {}
@@ -177,7 +179,8 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
 def attach_de(result: ExperimentResult, spec: ExperimentSpec):
     """Add the converged-MI column: DE at each of result's points, for
     spec's config at master_seed."""
-    # imported here, so that a sweep without DE never loads scipy
+    # imported here: de's import builds its quadrature rules (about
+    # 20 ms), which a sweep without DE does not need
     from . import de
     gains = expected_active_gains(spec.base)
     grid = [p.snr_db for p in result.points]

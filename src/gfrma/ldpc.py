@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# numpy loads np.random on first use; imported here, the first code
+# build or trial does not pay for that import
+from numpy.random import default_rng
 
 LLR_CLAMP = 30.0
 # largest |tanh(L/2)| representable under the clamp
@@ -138,7 +141,7 @@ def construct_parity_check(m, code_rate, d_v, seed) -> ParityCheck:
     n_checks = n - m
     if d_v < 2 or d_v > n_checks:
         raise ValueError(f"infeasible variable degree d_v = {d_v}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     H = _peg_edges(n, n_checks, d_v, rng).astype(np.uint8)
     # permute columns so free variables come first (info positions), pivot
     # variables last (parity); rank deficiency just widens the free block,

@@ -8,6 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads np.random on first use; imported here, the first code
+# build or trial does not pay for that import
+from numpy.random import default_rng
 
 from . import ldpc
 from .config import SystemConfig
@@ -36,7 +39,7 @@ def sample_activity(cfg: SystemConfig, trial_seed) -> np.ndarray:
     "fixed" mode activates exactly cfg.n_active uniformly chosen users;
     "bernoulli" mode activates each user independently with probability p_a.
     """
-    rng = np.random.default_rng(mix(trial_seed, _TAG_ACTIVITY))
+    rng = default_rng(mix(trial_seed, _TAG_ACTIVITY))
     if cfg.activity_mode == "bernoulli":
         return rng.random(cfg.K) < cfg.p_a
     active = np.zeros(cfg.K, dtype=bool)
@@ -50,12 +53,12 @@ def make_ground_truth(cfg: SystemConfig, pc: ldpc.ParityCheck,
     trial_seed = mix(cfg.system_seed, trial_index)
     active = sample_activity(cfg, trial_seed)
     gains = np.where(active, cfg.true_gains(), 0.0)
-    rng_bits = np.random.default_rng(mix(trial_seed, _TAG_BITS))
+    rng_bits = default_rng(mix(trial_seed, _TAG_BITS))
     info_bits = np.zeros((cfg.K, cfg.m), dtype=np.uint8)
     info_bits[active] = rng_bits.integers(0, 2, (active.sum(), cfg.m))
     symbols = np.zeros((cfg.K, cfg.N))
     symbols[active] = ldpc.bits_to_symbols(ldpc.encode(info_bits[active], pc))
-    rng_noise = np.random.default_rng(mix(trial_seed, _TAG_NOISE))
+    rng_noise = default_rng(mix(trial_seed, _TAG_NOISE))
     noise = rng_noise.normal(0.0, np.sqrt(cfg.noise_variance), cfg.T)
     return TrialGroundTruth(active, gains, info_bits, symbols, noise)
 

@@ -224,6 +224,19 @@ def test_bool_is_not_a_real(field, value):
         C.validate_config(paper_like_config(**kw))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("gains", (True,) * 30),
+    ("gains", (1.0,) * 29 + (np.True_,)),
+    ("racf.probs", C.Racf((False, False, True))),
+    ("racf.probs", C.Racf((0.0, 0.0, np.True_))),
+], ids=["gains-bool", "gains-np.bool_", "racf-bool", "racf-np.bool_"])
+def test_bool_is_not_a_tuple_entry(field, value):
+    # the float conversion would read True as gain or probability 1.0
+    kw = {field.partition(".")[0]: value}
+    with pytest.raises(C.ConfigError, match=rf"^{re.escape(field)}\b"):
+        C.validate_config(dataclasses.replace(DESK_CONFIG, **kw))
+
+
 def test_racf_probs_must_be_a_tuple():
     # a list validated, then failed in DE's cached per-code constants
     racf = C.Racf([0.90, 0.06, 0.04])

@@ -83,6 +83,62 @@ def test_tables_match_quadrature():
         assert tab.j_inv(tab.j(x)) == pytest.approx(x, abs=1e-6)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def assert_pchip_matches_scipy(x, y, rng):
+    # scipy's PchipInterpolator is the oracle: the knots, points inside,
+    # and points up to 0.5 beyond each end, flat and in the hot path's
+    # (2, rows, nodes) shape
+    from scipy.interpolate import PchipInterpolator
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lo, hi = x[0], x[-1]
+    v = np.concatenate([x, rng.uniform(lo, hi, 10_000),
+                        rng.uniform(lo - 0.5, lo, 200),
+                        rng.uniform(hi, hi + 0.5, 200)])
+    ours, oracle = de._Pchip(x, y), PchipInterpolator(x, y)
+    assert same_bits(ours(v), oracle(v))
+    cube = v[:1280].reshape(2, 10, 64)
+    assert same_bits(ours(cube), oracle(cube))
+
+
+def test_table_splines_match_scipy_bitwise(monkeypatch):
+    knots = []
+    pchip = de._Pchip
+
+    def recording(x, y):
+        knots.append((x, y))
+        return pchip(x, y)
+
+    monkeypatch.setattr(de, "_Pchip", recording)
+    de._Tables()
+    monkeypatch.undo()
+    assert len(knots) == 3          # J, J^-1 and Omega
+    rng = np.random.default_rng(0)
+    for x, y in knots:
+        assert_pchip_matches_scipy(x, y, rng)
+
+
+def test_pchip_slope_branches_match_scipy_bitwise():
+    rng = np.random.default_rng(1)
+    # slopes 1, 5, 0, 0, -2, 1, 1, -10, 1: the interior knots take the
+    # harmonic mean, or 0 at flat runs and sign changes; the left end's
+    # three-point slope (-1) has the wrong sign and becomes 0, the
+    # right end's (6.5) is capped at 3 times the end slope
+    assert_pchip_matches_scipy([0, 1, 2, 3.5, 4, 6, 7, 8, 9, 10],
+                               [0, 1, 6, 6, 6, 2, 3, 4, -6, -5], rng)
+    # every term is -0.0 at the first knot, where scipy's sum reads +0.0
+    assert_pchip_matches_scipy([0, 1, 3], [-0.0, -1, -4], rng)
+    # uneven knots and small integer values: flat runs, sign changes and
+    # every end case, at random
+    for _ in range(50):
+        x = np.cumsum(rng.uniform(0.1, 2.0, 12))
+        assert_pchip_matches_scipy(x, rng.integers(-2, 3, 12), rng)
+
+
 # ---------------------------------------------------------------------------
 # recursion building blocks
 

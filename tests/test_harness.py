@@ -65,6 +65,16 @@ def test_run_trial_deterministic():
     assert not np.array_equal(t1.noise, t3.noise)
 
 
+def test_run_trial_rejects_unknown_mode():
+    # a misspelt mode ran a grant-free decode
+    cfg = small_cfg()
+    pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,
+                                  cfg.system_seed)
+    graph = P.build_access_graph(cfg)
+    with pytest.raises(C.ConfigError, match="mode 'genie'"):
+        H.run_trial(cfg, pc, graph, 0, mode="genie")
+
+
 def test_genie_noiseless_trials():
     # one active user; T dense enough that almost every symbol is observed
     cfg = small_cfg(K=10, p_a=0.1, T=6400, noise_variance=1e-12)

@@ -1,6 +1,6 @@
 """No module in src/gfrma imports a name it never uses, no module defines
 a private top-level name that no module reads or a public one that only
-tests read, and the simulator runs without loading scipy."""
+tests read, and the simulator and DE run without loading scipy."""
 import ast
 import os
 import subprocess
@@ -153,21 +153,44 @@ def test_no_test_only_public_names():
     assert names_only_tests_read(defining, readers) == []
 
 
-def test_simulator_never_loads_scipy():
-    # a fresh interpreter: this one has loaded scipy for other tests
-    code = (
-        "import sys\n"
-        "from gfrma import cli, harness\n"
-        "harness.monte_carlo(harness.ExperimentSpec(\n"
-        "    harness.DESK_CONFIG, (-5.0,), trials=1))\n"
-        "print(*sorted(m for m in sys.modules\n"
-        "              if m.partition('.')[0] == 'scipy'\n"
-        "              or (m + '.').startswith('numpy.ma.')))\n"
-    )
+def run_fresh(code):
+    """stdout of code run in a fresh interpreter on this checkout's src;
+    this one has loaded scipy and numpy.random for other tests."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout
+
+
+def test_simulator_never_loads_scipy():
+    # the sweep, then DE: a threshold search and a 1-point attach_de
+    code = (
+        "import sys\n"
+        "from gfrma import cli, de, harness\n"
+        "spec = harness.ExperimentSpec(harness.DESK_CONFIG, (-5.0,),\n"
+        "                              trials=1)\n"
+        "result = harness.monte_carlo(spec)\n"
+        "de.threshold_search(harness.DESK_CONFIG,\n"
+        "    harness.expected_active_gains(harness.DESK_CONFIG))\n"
+        "harness.attach_de(result, spec)\n"
+        "print(*sorted(m for m in sys.modules\n"
+        "              if m.partition('.')[0] == 'scipy'\n"
+        "              or (m + '.').startswith('numpy.ma.')))\n"
+    )
+    assert run_fresh(code).split() == []
+
+
+def test_sweep_loads_no_module_late():
+    # a module first loaded inside the timed sweep is timed with it
+    code = (
+        "import sys\n"
+        "from gfrma import harness\n"
+        "before = set(sys.modules)\n"
+        "harness.monte_carlo(harness.ExperimentSpec(\n"
+        "    harness.DESK_CONFIG, (-5.0,), trials=1))\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    assert run_fresh(code).split() == []
