@@ -17,12 +17,13 @@ results = {}
 for mode in ("grant-free", "registration"):
     spec = harness.ExperimentSpec(cfg, grid, trials=trials, mode=mode,
                                   master_seed=1)
-    results[mode] = harness.monte_carlo(spec).points
+    results[mode] = harness.monte_carlo(spec)
     out = f"sweep_{mode}.csv"
-    harness.snr_sweep_report(harness.ExperimentResult(results[mode]), out)
+    harness.snr_sweep_report(results[mode], out)
     print("wrote", out)
 
 print("\nsnr_db   grant-free   registration")
-for gf, reg in zip(results["grant-free"], results["registration"]):
+for gf, reg in zip(results["grant-free"].points,
+                   results["registration"].points):
     print("%6.1f   %7.3f      %7.3f" % (gf.snr_db, gf.bler, reg.bler))
 print("\n(the grant-free curve should sit within ~1 dB of the baseline)")

@@ -16,6 +16,12 @@ class ConfigError(ValueError):
     """Raised when a configuration violates an invariant."""
 
 
+# The largest |gain| and |prior.mean| validate_config accepts. Squared and
+# scaled by T * E[d] in the receiver and DE, larger amplitudes overflow
+# float64 (gains of 1e153 already do in DE at DESK_CONFIG).
+MAX_AMPLITUDE = 1e100
+
+
 def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
@@ -81,7 +87,13 @@ class SystemConfig:
 
     @property
     def n_active(self):
-        return math.ceil(self.K * self.p_a)     # nominal active count
+        """Nominal active count, ceil(K * p_a). A product within a relative
+        1e-9 of an integer counts as that integer (100 * 0.07 is
+        7.000000000000001); a tiny p_a still gives one active user."""
+        x = self.K * self.p_a
+        if math.isclose(x, round(x), rel_tol=1e-9):
+            return round(x)
+        return math.ceil(x)
 
     def true_gains(self):
         """Per-user channel amplitudes as an array of length K."""
@@ -145,8 +157,10 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"N non-integer: m/code_rate = {n_exact:.6g}")
     if cfg.racf.d_max > cfg.N:
         raise ConfigError(f"RACf d_max = {cfg.racf.d_max} exceeds N = {cfg.N}")
-    if not _is_finite(cfg.prior.mean):
-        raise ConfigError("prior.mean must be a finite number")
+    if not (_is_finite(cfg.prior.mean)
+            and abs(cfg.prior.mean) <= MAX_AMPLITUDE):
+        raise ConfigError("prior.mean must be a finite number with "
+                          f"|prior.mean| <= {MAX_AMPLITUDE:g}")
     if not (_is_finite(cfg.prior.var) and cfg.prior.var > 0):
         raise ConfigError("prior.var must be a finite number > 0")
     if not (_is_finite(cfg.noise_variance) and cfg.noise_variance > 0):
@@ -157,8 +171,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     g = cfg.true_gains()
     if len(g) != cfg.K:
         raise ConfigError(f"gains has length {len(g)}, expected K = {cfg.K}")
-    if not np.all(np.isfinite(g) & (g >= 0)):
-        raise ConfigError("channel gains must be finite and >= 0")
+    if not np.all(np.isfinite(g) & (g >= 0) & (g <= MAX_AMPLITUDE)):
+        raise ConfigError("gains must be finite, >= 0 and "
+                          f"<= {MAX_AMPLITUDE:g}")
     if not (_is_int(cfg.max_iterations) and cfg.max_iterations >= 1):
         raise ConfigError("max_iterations must be an integer >= 1")
     if not (_is_int(cfg.d_v) and cfg.d_v >= 2):

@@ -336,7 +336,7 @@ def _per_user(st: DeState, user) -> DeState:
                    st.iteration)
 
 
-def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
+def run_de(cfg: SystemConfig, active_gains, trace=None):
     """Iterate the recursion; returns the final per-user DeState.
 
     trace, if given, is a list collecting the per-user DeState snapshots.
@@ -351,7 +351,7 @@ def run_de(cfg: SystemConfig, active_gains, max_iter=_MAX_ITER, trace=None):
         return_inverse=True, return_counts=True)
     state = DeState(state.mi[first], state.xi_h[first],
                     state.mu_c2v[first], state.xi_s)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         new = mi_step(state, cfg, gain, count)
         if trace is not None:
             trace.append(_per_user(new, user))

@@ -68,6 +68,7 @@ class PointResult:
 @dataclass
 class ExperimentResult:
     points: list
+    records: np.ndarray           # (points, trials) trial_stats records
     de_mi: list | None = None     # converged MI per SNR point, optional
 
 
@@ -99,18 +100,16 @@ def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
 
 
 def trial_stats(cfg, truth, outcome):
-    """Per-trial counters: (active blocks, block errors, bit errors,
-    info bits, misses, false alarms, inactive users)."""
-    active = truth.active
-    n_active = int(active.sum())
-    declared = outcome.declared
-    # wrong bits per active user; an undeclared one loses its whole packet
+    """One trial's record: per user, active, declared and bit_errors (wrong
+    info bits; 0 if inactive, all cfg.m if active but not declared); per
+    trial, the decoder's iterations and stop reason."""
     wrong = (outcome.decoded_bits != truth.info_bits).sum(axis=1)
-    wrong = np.where(declared, wrong, cfg.m)[active]
-    misses = int((active & ~declared).sum())
-    false_alarms = int((~active & declared).sum())
-    return (n_active, int(np.count_nonzero(wrong)), int(wrong.sum()),
-            n_active * cfg.m, misses, false_alarms, int((~active).sum()))
+    wrong = np.where(outcome.declared, wrong, cfg.m) * truth.active
+    return np.array((truth.active, outcome.declared, wrong,
+                     outcome.iterations, outcome.converged),
+                    [("active", bool, cfg.K), ("declared", bool, cfg.K),
+                     ("bit_errors", int, cfg.K), ("iterations", int),
+                     ("stop", object)])
 
 
 def _rate(count, n):
@@ -127,6 +126,20 @@ def wilson_halfwidth(errors, n):
     return z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
 
 
+def _point_result(snr_db, records, m):
+    """One point's PointResult, summed over its trials' records."""
+    active, declared = records["active"], records["declared"]
+    n_active = int(active.sum())
+    block_err = int(np.count_nonzero(records["bit_errors"]))
+    return PointResult(
+        float(snr_db), len(records), _rate(block_err, n_active),
+        _rate(int(records["bit_errors"].sum()), n_active * m),
+        _rate(int((active & ~declared).sum()), n_active),
+        _rate(int((declared & ~active).sum()), active.size - n_active),
+        int(records["iterations"].sum()) / len(records),
+        wilson_halfwidth(block_err, n_active))
+
+
 # per worker process: the (pc, graph, mode) shared by every point of a sweep
 _POOL_STATE = {}
 
@@ -137,8 +150,7 @@ def _pool_init(pc, graph, mode):
 
 def _pool_trial(cfg, trial_index):
     pc, graph, mode = _POOL_STATE["args"]
-    truth, outcome = run_trial(cfg, pc, graph, trial_index, mode)
-    return trial_stats(cfg, truth, outcome) + (outcome.iterations,)
+    return trial_stats(cfg, *run_trial(cfg, pc, graph, trial_index, mode))
 
 
 def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
@@ -161,19 +173,10 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     else:
         _pool_init(pc, graph, spec.mode)
         rows = [_pool_trial(*task) for task in tasks]
-    # deterministic reduction in trial order, one row of sums per point
-    sums = np.asarray(rows, dtype=float).reshape(
-        len(spec.snr_db_grid), spec.trials, -1).sum(axis=1)
-    points = []
-    for snr_db, (n_active, block_err, bit_err, n_bits, misses,
-                 false_alarms, n_inactive, iter_sum) in zip(spec.snr_db_grid,
-                                                            sums):
-        points.append(PointResult(
-            float(snr_db), spec.trials, _rate(block_err, n_active),
-            _rate(bit_err, n_bits), _rate(misses, n_active),
-            _rate(false_alarms, n_inactive), iter_sum / spec.trials,
-            wilson_halfwidth(block_err, n_active)))
-    return ExperimentResult(points)
+    # one (points, trials) record array in trial order, reduced per point
+    records = np.stack(rows).reshape(len(spec.snr_db_grid), spec.trials)
+    return ExperimentResult([_point_result(snr_db, row, base.m) for snr_db, row
+                             in zip(spec.snr_db_grid, records)], records)
 
 
 def attach_de(result: ExperimentResult, spec: ExperimentSpec):

@@ -1,10 +1,13 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from gfrma import config as C
+from gfrma import de
+from gfrma import harness as H
 from gfrma.harness import DESK_CONFIG
 
 
@@ -242,3 +245,30 @@ def test_racf_probs_must_be_a_tuple():
     racf = C.Racf([0.90, 0.06, 0.04])
     with pytest.raises(C.ConfigError, match="tuple"):
         C.validate_config(paper_like_config(racf=racf))
+
+
+@pytest.mark.parametrize("K,p_a,n_active", [
+    (100, 0.07, 7), (25, 0.28, 7), (50, 0.14, 7),   # K * p_a is 7 + 1e-15
+    (6, 0.3, 2), (3, 0.5, 2), (6, 1e-12, 1),       # a fraction rounds up
+])
+def test_n_active(K, p_a, n_active):
+    assert C.SystemConfig(K=K, p_a=p_a).n_active == n_active
+
+
+@pytest.mark.parametrize("field", ["gains", "prior.mean"])
+def test_amplitude_bound(field):
+    # a validated amplitude must run without overflow; 1e154 overflowed
+    def cfg_at(v):
+        if field == "gains":
+            return dataclasses.replace(DESK_CONFIG, gains=(v,) * DESK_CONFIG.K)
+        return dataclasses.replace(DESK_CONFIG, prior=C.ChannelPrior(mean=v))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (1e154, -1e154, np.nextafter(C.MAX_AMPLITUDE, np.inf)):
+            with pytest.raises(C.ConfigError,
+                               match=rf"^{re.escape(field)}\b"):
+                C.validate_config(cfg_at(float(v)))
+        cfg = C.validate_config(cfg_at(C.MAX_AMPLITUDE))
+        H.monte_carlo(H.ExperimentSpec(cfg, (-8.0, -6.0), trials=2))
+        de.threshold_search(cfg, H.expected_active_gains(cfg))

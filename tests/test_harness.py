@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import multiprocessing
 from types import SimpleNamespace
 
@@ -83,8 +84,9 @@ def test_genie_noiseless_trials():
     graph = P.build_access_graph(cfg)
     for trial in range(10):
         truth, out = H.run_trial(cfg, pc, graph, trial, mode="genie-csi")
-        stats = H.trial_stats(cfg, truth, out)
-        assert stats[0] == 1 and stats[1] == 0      # one active, no errors
+        rec = H.trial_stats(cfg, truth, out)
+        # one active user, no errors
+        assert rec["active"].sum() == 1 and not rec["bit_errors"].any()
 
 
 def test_trial_stats_accounting():
@@ -93,13 +95,18 @@ def test_trial_stats_accounting():
                                   cfg.system_seed)
     graph = P.build_access_graph(cfg)
     truth, out = H.run_trial(cfg, pc, graph, 0)
-    (n_active, block_err, bit_err, n_bits, misses, false_alarms,
-     n_inactive) = H.trial_stats(cfg, truth, out)
-    assert n_active + n_inactive == cfg.K
-    assert n_bits == n_active * cfg.m
-    assert misses <= block_err <= n_active        # misses are block errors
-    assert 0 <= false_alarms <= n_inactive
-    assert bit_err <= n_bits
+    rec = H.trial_stats(cfg, truth, out)
+    active, declared, errors = rec["active"], rec["declared"], rec["bit_errors"]
+    assert active.shape == declared.shape == errors.shape == (cfg.K,)
+    n_active = int(active.sum())
+    misses = int((active & ~declared).sum())
+    assert misses <= np.count_nonzero(errors) <= n_active  # misses are errors
+    assert 0 <= int((declared & ~active).sum()) <= cfg.K - n_active
+    assert not errors[~active].any()
+    assert np.all(errors[active & ~declared] == cfg.m)
+    assert errors.sum() <= n_active * cfg.m
+    assert rec["iterations"] == out.iterations
+    assert rec["stop"] == out.converged
 
 
 def _trial_stats_per_user(cfg, truth, outcome):
@@ -123,6 +130,26 @@ def _trial_stats_per_user(cfg, truth, outcome):
             false_alarms, int((~active).sum()))
 
 
+def _point_from_counts(snr_db, trials, counts, iter_sum):
+    """The PointResult that per-trial counters summed over a point give:
+    counts is (active blocks, block errors, bit errors, info bits, misses,
+    false alarms, inactive users), as _trial_stats_per_user returns."""
+    (n_active, block_err, bit_err, n_bits, misses, false_alarms,
+     n_inactive) = counts
+    return H.PointResult(
+        snr_db, trials, H._rate(block_err, n_active), H._rate(bit_err, n_bits),
+        H._rate(misses, n_active), H._rate(false_alarms, n_inactive),
+        iter_sum / trials, H.wilson_halfwidth(block_err, n_active))
+
+
+def _assert_same_point(got, want):
+    """Equal fields, NaN equal to NaN; every field JSON-dumps as a number."""
+    np.testing.assert_equal(dataclasses.astuple(got),
+                            dataclasses.astuple(want))
+    assert type(got.trials) is int
+    json.dumps(dataclasses.asdict(got))
+
+
 def test_trial_stats_matches_per_user_loop():
     cfg = small_cfg(K=8, m=10)
     rng = np.random.default_rng(4)
@@ -138,17 +165,55 @@ def test_trial_stats_matches_per_user_loop():
     truth = SimpleNamespace(active=active, info_bits=info)
     cases = [(declared, decoded), (np.zeros(8, bool), decoded),
              (np.ones(8, bool), info)]
+
+    def point(truth, out):
+        # one trial's record through the reduction monte_carlo uses
+        rec = H.trial_stats(cfg, truth, out)
+        return H._point_result(0.0, rec[None], cfg.m)
+
+    def outcome(dec, bits):
+        return SimpleNamespace(declared=dec, decoded_bits=bits, iterations=7,
+                               converged="stalled")
+
     for dec, bits in cases:
-        out = SimpleNamespace(declared=dec, decoded_bits=bits)
-        got = H.trial_stats(cfg, truth, out)
-        assert got == _trial_stats_per_user(cfg, truth, out)
-        assert all(type(v) is int for v in got)
-    out = SimpleNamespace(declared=declared, decoded_bits=decoded)
-    assert H.trial_stats(cfg, truth, out) == (5, 3, 14, 50, 1, 1, 3)
+        out = outcome(dec, bits)
+        _assert_same_point(point(truth, out), _point_from_counts(
+            0.0, 1, _trial_stats_per_user(cfg, truth, out), 7))
+    out = outcome(declared, decoded)
+    rec = H.trial_stats(cfg, truth, out)
+    assert rec["bit_errors"].tolist() == [0, 3, 10, 1, 0, 0, 0, 0]
+    assert rec["iterations"] == 7 and rec["stop"] == "stalled"
+    _assert_same_point(point(truth, out),
+                       _point_from_counts(0.0, 1, (5, 3, 14, 50, 1, 1, 3), 7))
     none = SimpleNamespace(active=np.zeros(8, bool),
                            info_bits=np.zeros_like(info))
-    out = SimpleNamespace(declared=np.zeros(8, bool), decoded_bits=info)
-    assert H.trial_stats(cfg, none, out) == (0, 0, 0, 0, 0, 0, 8)
+    out = outcome(np.zeros(8, bool), info)
+    _assert_same_point(point(none, out),
+                       _point_from_counts(0.0, 1, (0, 0, 0, 0, 0, 0, 8), 7))
+
+
+@pytest.mark.parametrize("mode", H.MODES)
+def test_records_are_the_trials_outcomes(mode):
+    spec = small_spec(trials=4, mode=mode)
+    res = H.monte_carlo(spec)
+    assert res.records.shape == (len(spec.snr_db_grid), spec.trials)
+    base = spec.base
+    pc = L.construct_parity_check(base.m, base.code_rate, base.d_v,
+                                  base.system_seed)
+    graph = P.build_access_graph(base)
+    for cfg, row, p in zip(H._point_configs(base, spec.snr_db_grid),
+                           res.records, res.points):
+        counts, iter_sum = np.zeros(7, dtype=int), 0
+        for trial, rec in enumerate(row):
+            truth, out = H.run_trial(cfg, pc, graph, trial, mode)
+            assert rec["iterations"] == out.iterations
+            assert rec["stop"] == out.converged
+            assert np.array_equal(rec["active"], truth.active)
+            assert np.array_equal(rec["declared"], out.declared)
+            counts += _trial_stats_per_user(cfg, truth, out)
+            iter_sum += out.iterations
+        _assert_same_point(p, _point_from_counts(p.snr_db, spec.trials,
+                                                 tuple(counts), iter_sum))
 
 
 def test_wilson_halfwidth():
@@ -197,9 +262,11 @@ def test_workers_do_not_change_results(tmp_path):
     spec1 = small_spec(trials=8, snr_db_grid=(-4.0, 4.0))
     spec2 = dataclasses.replace(spec1, workers=2)
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    H.snr_sweep_report(H.monte_carlo(spec1), a)
-    H.snr_sweep_report(H.monte_carlo(spec2), b)
+    r1, r2 = H.monte_carlo(spec1), H.monte_carlo(spec2)
+    H.snr_sweep_report(r1, a)
+    H.snr_sweep_report(r2, b)
     assert a.read_bytes() == b.read_bytes()
+    assert np.array_equal(r1.records, r2.records)    # stop reasons included
     # the pool is gone once monte_carlo returns
     assert multiprocessing.active_children() == []
 
@@ -225,11 +292,11 @@ def test_attach_de_and_report(tmp_path):
 def test_attach_de_follows_the_result_points():
     # DE runs at the result's points, whatever grid the spec holds
     spec = small_spec(trials=1, snr_db_grid=(-6.0, 0.0, 6.0))
-    points = H.monte_carlo(spec).points
+    res = H.monte_carlo(spec)
     other = dataclasses.replace(spec, snr_db_grid=(2.0,))
-    got = H.attach_de(H.ExperimentResult(points), other).de_mi
-    assert len(got) == len(points)
-    assert got == H.attach_de(H.ExperimentResult(points), spec).de_mi
+    got = H.attach_de(res, other).de_mi
+    assert len(got) == len(res.points)
+    assert got == H.attach_de(res, spec).de_mi
 
 
 def test_profiles_are_valid():
