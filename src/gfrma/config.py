@@ -105,6 +105,26 @@ class SystemConfig:
         return dataclasses.replace(self, noise_variance=float(xi_w))
 
 
+def validate_gains(gains):
+    """gains as a float array; ConfigError unless it is a non-empty 1-D
+    sequence of finite numbers in [0, MAX_AMPLITUDE].
+
+    The check for SystemConfig.gains and for DE's active gains. A Python
+    int beyond float range is rejected here, not left to raise
+    OverflowError in the conversion.
+    """
+    try:
+        g = np.asarray(gains, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"gains must be real numbers ({exc})") from None
+    if g.ndim != 1 or g.size == 0:
+        raise ConfigError("gains must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(g) & (g >= 0) & (g <= MAX_AMPLITUDE)):
+        raise ConfigError("gains must be finite, >= 0 and "
+                          f"<= {MAX_AMPLITUDE:g}")
+    return g
+
+
 def validate_racf(racf):
     if not isinstance(racf.probs, tuple):     # DE caches per hashable config
         raise ConfigError("RACf probs must be a tuple")
@@ -165,15 +185,14 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError("prior.var must be a finite number > 0")
     if not (_is_finite(cfg.noise_variance) and cfg.noise_variance > 0):
         raise ConfigError("noise_variance must be a finite number > 0")
-    # checked before true_gains(), whose float conversion reads True as 1.0
-    if cfg.gains is not None and any(map(_is_bool, cfg.gains)):
-        raise ConfigError("gains must be real numbers, not bools")
-    g = cfg.true_gains()
-    if len(g) != cfg.K:
-        raise ConfigError(f"gains has length {len(g)}, expected K = {cfg.K}")
-    if not np.all(np.isfinite(g) & (g >= 0) & (g <= MAX_AMPLITUDE)):
-        raise ConfigError("gains must be finite, >= 0 and "
-                          f"<= {MAX_AMPLITUDE:g}")
+    if cfg.gains is not None:
+        # checked before the float conversion, which reads True as 1.0
+        if any(map(_is_bool, cfg.gains)):
+            raise ConfigError("gains must be real numbers, not bools")
+        g = validate_gains(cfg.gains)
+        if len(g) != cfg.K:
+            raise ConfigError(f"gains has length {len(g)}, "
+                              f"expected K = {cfg.K}")
     if not (_is_int(cfg.max_iterations) and cfg.max_iterations >= 1):
         raise ConfigError("max_iterations must be an integer >= 1")
     if not (_is_int(cfg.d_v) and cfg.d_v >= 2):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (ConfigError, SystemConfig, db_to_linear,
-                     noise_variance_for_snr, racf_mean_degree)
+                     noise_variance_for_snr, racf_mean_degree, validate_gains)
 
 _X_MAX = 60.0          # J saturates to 1 well below this
 _MI_CONVERGED = 1.0 - 1e-4
@@ -341,14 +341,15 @@ def run_de(cfg: SystemConfig, active_gains, trace=None):
 
     trace, if given, is a list collecting the per-user DeState snapshots.
     The recursion runs once per distinct gain, so users with equal gains
-    get bitwise-equal rows.
+    get bitwise-equal rows. active_gains must pass config.validate_gains.
     """
+    active_gains = validate_gains(active_gains)
     state = initial_de_state(cfg, active_gains)
     if trace is not None:
         trace.append(state)
     gain, first, user, count = np.unique(
-        np.asarray(active_gains, dtype=float), return_index=True,
-        return_inverse=True, return_counts=True)
+        active_gains, return_index=True, return_inverse=True,
+        return_counts=True)
     state = DeState(state.mi[first], state.xi_h[first],
                     state.mu_c2v[first], state.xi_s)
     for _ in range(_MAX_ITER):
@@ -364,7 +365,11 @@ def run_de(cfg: SystemConfig, active_gains, trace=None):
 
 
 def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
-    """True if every active user's MI reaches 1 at linear SNR gamma."""
+    """True if every active user's MI reaches 1 at linear SNR gamma.
+
+    active_gains must pass config.validate_gains.
+    """
+    active_gains = validate_gains(active_gains)
     xi_w = noise_variance_for_snr(cfg, gamma, active_gains)
     final = run_de(cfg.with_noise_variance(xi_w), active_gains)
     return bool(np.all(final.mi > _MI_CONVERGED))
@@ -378,10 +383,11 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
     end: +inf if DE fails even at _GAMMA_MAX_DB, -inf if DE converged at
     every SNR tried, down to _GAMMA_MIN_DB. tol_db must be finite and > 0:
     a bisection to 0 never ends, since the midpoint of two adjacent floats
-    is one of them.
+    is one of them. active_gains must pass config.validate_gains.
     """
     if not (math.isfinite(tol_db) and tol_db > 0):
         raise ConfigError(f"tol_db = {tol_db} must be finite and > 0")
+    active_gains = validate_gains(active_gains)
     if not de_converges(cfg, active_gains, db_to_linear(_GAMMA_MAX_DB)):
         return float("inf")
     lo, hi = _BRACKET_DB
@@ -404,7 +410,12 @@ def threshold_search(cfg: SystemConfig, active_gains, tol_db=0.05):
 
 def write_de_trace(cfg: SystemConfig, active_gains, gamma_db_list, path,
                    threshold_db):
-    """CSV trace: gamma_db, iteration, user, mi, xi_h, xi_sigma."""
+    """CSV trace: gamma_db, iteration, user, mi, xi_h, xi_sigma.
+
+    active_gains must pass config.validate_gains; it is checked before the
+    file is opened.
+    """
+    active_gains = validate_gains(active_gains)
     with open(path, "w", newline="") as f:
         f.write("gamma_db,iteration,user,mi,xi_h,xi_sigma\n")
         for gdb in gamma_db_list:

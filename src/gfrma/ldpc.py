@@ -194,44 +194,59 @@ def check_messages(v2c, lay: EdgeLayout):
     """Leave-one-out check update for a flat edge array grouped by check.
 
     v2c has shape (..., E) with edges in the order of the layout, sorted by
-    check. Returns the outgoing c2v array of the same shape. Matches
-    cn_update edge by edge, with exact handling of zero inputs (tanh = 0
-    annihilates the product on every other edge).
+    check; it is read, never written. Returns the outgoing c2v messages as a
+    new array of the same shape. Matches cn_update edge by edge, with exact
+    handling of zero inputs (tanh = 0 annihilates the product on every
+    other edge).
 
     Magnitudes are summed in the log domain and signs multiplied as +/-1.0,
     which is exact. An input with |tanh| < 1e-300 counts as a zero: it
     takes log 1 = 0 and sign +1, and every other edge of its check gets
     magnitude 0; that bookkeeping runs only when the batch holds a zero.
+    Besides v2c, at most three arrays of its size are live at once.
     """
     t = np.tanh(np.clip(v2c, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-    absr = np.abs(t)
+    # sign out of place: numpy 2.4's in-place sign takes ~5x as long
     sign = np.sign(t)
-    iszero = absr < 1e-300
+    mag = np.abs(t, out=t)
+    iszero = mag < 1e-300
     has_zero = iszero.any()
     if has_zero:
-        absr[iszero] = 1.0
+        mag[iszero] = 1.0
         sign[iszero] = 1.0
-    logt = np.log(absr)
-    sum_log = np.add.reduceat(logt, lay.chk_ptr, axis=-1)
+    # mag holds log|t| until it is replaced by the leave-one-out magnitude
+    np.log(mag, out=mag)
+    sum_log = np.add.reduceat(mag, lay.chk_ptr, axis=-1)
     sign_prod = np.multiply.reduceat(sign, lay.chk_ptr, axis=-1)
     # expand per-check aggregates back onto edges; the leave-one-out sign
     # is the check's sign product times the edge's own sign
-    mag = np.exp(np.repeat(sum_log, lay.chk_deg, axis=-1) - logt)
+    np.subtract(np.repeat(sum_log, lay.chk_deg, axis=-1), mag, out=mag)
+    np.exp(mag, out=mag)
     np.minimum(mag, _TANH_CLAMP, out=mag)
     if has_zero:
-        # each zero input silences every other edge of its check; zeros are
-        # rare, so only their checks are visited: idx runs over the flat
-        # indices of each zero's check, and the zero's own edge is left out
-        z = np.flatnonzero(iszero)
-        col = z % t.shape[-1]
-        chk = np.searchsorted(lay.chk_ptr, col, side="right") - 1
-        deg = lay.chk_deg[chk]
-        run_start = np.cumsum(deg) - deg
-        idx = np.arange(deg.sum()) + np.repeat(
-            z - col + lay.chk_ptr[chk] - run_start, deg)
-        np.put(mag, idx[idx != np.repeat(z, deg)], 0.0)
+        _silence_zero_checks(mag, iszero, lay)
     sign *= np.repeat(sign_prod, lay.chk_deg, axis=-1)
-    return 2.0 * np.arctanh(sign * mag)
+    out = np.multiply(sign, mag, out=mag)
+    np.arctanh(out, out=out)
+    return np.multiply(2.0, out, out=out)
+
+
+def _silence_zero_checks(mag, iszero, lay: EdgeLayout):
+    """Set mag to 0 on every edge of a check that holds a zero input other
+    than the edge itself.
+
+    Zeros are rare, so only their checks are visited, one edge offset at a
+    time: at is the flat index of that edge of each zero's check. The index
+    arrays are as long as the zeros and end with the call.
+    """
+    z = np.flatnonzero(iszero)
+    col = z % mag.shape[-1]
+    chk = np.searchsorted(lay.chk_ptr, col, side="right") - 1
+    deg = lay.chk_deg[chk]
+    start = z - col + lay.chk_ptr[chk]
+    for offset in range(deg.max()):
+        at = start + offset
+        np.put(mag, at[(offset < deg) & (at != z)], 0.0)
 
 
 @dataclass
@@ -258,14 +273,19 @@ def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
     Lch holds channel LLRs of shape (..., n), c2v the check-to-variable
     messages of shape (..., E) in layout order and c2v_sum their sum per
     variable, as the previous call returned it (zeros with zero c2v).
-    Returns the new (c2v, c2v_sum) and the posterior LLRs of shape (..., n).
+    Returns the new (c2v, c2v_sum) and the posterior LLRs of shape (..., n),
+    each a new array.
+
+    The c2v array handed in is overwritten with the variable-to-check
+    messages, so a caller rebinds c2v to the returned one and keeps no
+    other use of the old. Lch and c2v_sum are only read.
 
     A row of Lch that is exactly +0.0, with zero messages, stays +0.0 in
     every output: each check has degree >= 2, so every edge has another
     zero input and gets a zero message.
     """
     lay = pc.layout
-    v2c = (Lch + c2v_sum)[..., lay.edge_var] - c2v
+    v2c = np.subtract((Lch + c2v_sum)[..., lay.edge_var], c2v, out=c2v)
     c2v = check_messages(v2c, lay)
     # each variable's d_v messages, added in check order
     c2v_sum = np.take(c2v, lay.var_edges, axis=-1).sum(axis=-2)

@@ -89,41 +89,68 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     total = None
     converged = "max_iterations"
     for n in range(1, cfg.max_iterations + 1):
-        # (1) interference moments per edge, leave-one-out via RE aggregates
-        term_mu = np.repeat(q * mu_h, e_count) * m_soft
+        # Every per-edge array is updated in place or ended in its step, so
+        # only resid, xi_i and r2v, which later steps read, live across the
+        # LDPC flood. The out= writes keep each operation and its operand
+        # order, and they go to float arrays made here: a bincount over no
+        # edges is int64.
+
+        # (1) interference moments per edge, leave-one-out via RE
+        # aggregates; term_mu takes over m_soft's array
+        term_mu = np.multiply(np.repeat(q * mu_h, e_count), m_soft,
+                              out=m_soft)
         # per-edge variance term: q (mu^2 + xi) - q^2 mu^2 m^2
-        term_var = (np.repeat(q * (mu_h * mu_h + xi_h), e_count)
-                    - term_mu ** 2)
+        term_var = np.repeat(q * (mu_h * mu_h + xi_h), e_count)
+        term_var -= term_mu ** 2
         S_mu = np.bincount(e_re, weights=term_mu, minlength=graph.T)
         S_var = np.bincount(e_re, weights=term_var, minlength=graph.T)
-        mu_i = S_mu[e_re] - term_mu
-        xi_i = np.maximum(S_var[e_re] - term_var, 0.0)
-        resid = y_e - mu_i
+        mu_i = np.subtract(S_mu[e_re], term_mu, out=term_mu)
+        resid = np.subtract(y_e, mu_i, out=mu_i)
+        xi_i = np.subtract(S_var[e_re], term_var, out=term_var)
+        np.maximum(xi_i, 0.0, out=xi_i)
+        # drop the other names of resid's and xi_i's arrays, so that the
+        # del after step (4) frees them
+        del term_mu, term_var, mu_i, m_soft
 
         # (2) RE -> symbol messages
-        r2v = np.clip(np.repeat(2.0 * mu_h, e_count) * resid
-                      / (np.repeat(xi_h, e_count) + xi_i + xi_w),
-                      -LLR_CLAMP, LLR_CLAMP)
-        Lch = np.bincount(e_sym, weights=r2v,
-                          minlength=n_live * pc.n).reshape(n_live, pc.n)
+        denom = np.repeat(xi_h, e_count)
+        denom += xi_i
+        denom += xi_w
+        r2v = np.repeat(2.0 * mu_h, e_count)
+        r2v *= resid
+        r2v /= denom
+        np.clip(r2v, -LLR_CLAMP, LLR_CLAMP, out=r2v)
+        del denom
 
-        # (3) one flooding LDPC iteration per live user
+        # (3) one flooding LDPC iteration per live user, from the summed
+        # channel LLRs, which end with the flood
         prev_total = total
-        c2v, c2v_sum, total = ldpc.flood(Lch, c2v, c2v_sum, pc)
-        # extrinsic symbol -> RE messages
-        v2r = np.clip(total.reshape(-1)[e_sym] - r2v, -LLR_CLAMP, LLR_CLAMP)
-        m_soft = np.tanh(v2r / 2.0)
+        c2v, c2v_sum, total = ldpc.flood(
+            np.bincount(e_sym, weights=r2v, minlength=n_live * pc.n)
+            .reshape(n_live, pc.n), c2v, c2v_sum, pc)
+        # extrinsic symbol -> RE messages, in r2v's array
+        v2r = np.subtract(total.reshape(-1)[e_sym], r2v, out=r2v)
+        np.clip(v2r, -LLR_CLAMP, LLR_CLAMP, out=v2r)
+        v2r /= 2.0
+        m_soft = np.tanh(v2r, out=v2r)
+        del r2v, v2r
 
-        # (4) symbol-wise channel estimates, fused per user
+        # (4) symbol-wise channel estimates, fused per user, in the arrays
+        # of xi_i and resid, which no later step reads
         if known_gains is None:
-            denom = xi_i + xi_w
-            w = m_soft * m_soft / denom
-            wm = resid * m_soft / denom
+            denom = np.add(xi_i, xi_w, out=xi_i)
+            w = m_soft * m_soft
+            w /= denom
             W = np.bincount(e_user, weights=w, minlength=cfg.K)
+            del w
+            wm = np.multiply(resid, m_soft, out=resid)
+            wm /= denom
             WM = np.bincount(e_user, weights=wm, minlength=cfg.K)
+            del wm, denom
             prec = W + 1.0 / prior.var
             mu_h = (WM + prior.mean / prior.var) / prec
             xi_h = 1.0 / prec
+        del resid, xi_i
 
         # (5) activity posteriors
         # users with no edges have no evidence and keep the prior activity

@@ -265,10 +265,12 @@ def test_amplitude_bound(field):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v in (1e154, -1e154, np.nextafter(C.MAX_AMPLITUDE, np.inf)):
+        # ints beyond float range raised OverflowError in the conversion
+        for v in (1e154, -1e154, float(np.nextafter(C.MAX_AMPLITUDE, np.inf)),
+                  10 ** 400, -10 ** 400):
             with pytest.raises(C.ConfigError,
                                match=rf"^{re.escape(field)}\b"):
-                C.validate_config(cfg_at(float(v)))
+                C.validate_config(cfg_at(v))
         cfg = C.validate_config(cfg_at(C.MAX_AMPLITUDE))
         H.monte_carlo(H.ExperimentSpec(cfg, (-8.0, -6.0), trials=2))
         de.threshold_search(cfg, H.expected_active_gains(cfg))

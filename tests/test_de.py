@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -515,6 +517,27 @@ def test_threshold_rejects_bad_tol(monkeypatch, tol_db):
     monkeypatch.setattr(de, "de_converges", rule)
     with pytest.raises(C.ConfigError, match="tol_db"):
         de.threshold_search(desk_cfg(), np.ones(3), tol_db=tol_db)
+
+
+@pytest.mark.parametrize("gains", [[], [math.nan] * 3, [math.inf] * 3,
+                                   [-1.0] * 3, [1e154] * 3, [10 ** 400] * 3,
+                                   [[1.0, 1.0]], ["one"]],
+                         ids=["empty", "nan", "inf", "negative", "1e154",
+                              "int-beyond-float", "2-D", "str"])
+@pytest.mark.parametrize("run", [
+    lambda g: de.run_de(desk_cfg(), g),
+    lambda g: de.de_converges(desk_cfg(), g, 1.0),
+    lambda g: de.threshold_search(desk_cfg(), g),
+    lambda g: de.write_de_trace(desk_cfg(), g, [0.0], os.devnull, 0.0),
+], ids=["run_de", "de_converges", "threshold_search", "write_de_trace"])
+def test_de_rejects_bad_active_gains(run, gains):
+    # the library path checks gains as validate_config does: 1e154 raised
+    # an overflow warning, nan gave an all-nan MI and [] numpy's zero-size
+    # error; MAX_AMPLITUDE itself runs (test_config::test_amplitude_bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(C.ConfigError, match="^gains"):
+            run(gains)
 
 
 def _gh_j(s, nodes, weights):

@@ -146,6 +146,29 @@ def test_flood_keeps_zero_row_at_positive_zero(pc400):
         assert np.array_equal(total_b[k], total_k)
 
 
+def test_input_contracts(pc400):
+    # check_messages only reads v2c; flood only reads Lch and c2v_sum, and
+    # builds the variable-to-check messages in the c2v array it is handed
+    rng = np.random.default_rng(14)
+    lay = pc400.layout
+    Lch = rng.normal(0, 3, (2, pc400.n))
+    Lch[:, ::9] = 0.0                 # exact zeros reach the check update
+    c2v, c2v_sum = L.flood(Lch, np.zeros((2, len(lay.edge_var))),
+                           np.zeros(Lch.shape), pc400)[:2]
+    v2c = (Lch + c2v_sum)[..., lay.edge_var] - c2v
+    assert (v2c == 0).any()
+    v2c_bytes = v2c.tobytes()
+    L.check_messages(v2c, lay)
+    assert v2c.tobytes() == v2c_bytes
+    read_only = (Lch, c2v_sum)
+    before = [a.tobytes() for a in read_only]
+    outputs = L.flood(Lch, c2v, c2v_sum, pc400)
+    assert [a.tobytes() for a in read_only] == before
+    assert c2v.tobytes() == v2c_bytes
+    for out in outputs:
+        assert not any(np.shares_memory(out, a) for a in read_only + (c2v,))
+
+
 def test_layout_built_once(pc400):
     assert pc400.layout is pc400.layout
     lay = pc400.layout

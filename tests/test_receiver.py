@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,3 +394,36 @@ def test_registration_without_actives():
     assert not out.declared.any()
     assert not out.decoded_bits.any()
     assert out.converged == "stalled" and out.iterations == 2
+
+
+def _traced_decode_peak(base, snr_db):
+    """Traced peak of a warm 10-iteration grant-free joint_decode (master
+    seed 1, trial 0), in float64s per access-graph edge."""
+    base = dataclasses.replace(base, system_seed=1, max_iterations=10)
+    pc = L.construct_parity_check(base.m, base.code_rate, base.d_v,
+                                  base.system_seed)
+    graph = P.build_access_graph(base)
+    cfg = base.with_noise_variance(C.noise_variance_for_snr(
+        base, C.db_to_linear(snr_db), H.expected_active_gains(base)))
+    truth = phy.make_ground_truth(cfg, pc, 0)
+    y = phy.superpose(cfg, truth, graph)
+    R.joint_decode(cfg, y, graph, pc)     # fills the per-(graph, code) caches
+    tracemalloc.start()
+    try:
+        R.joint_decode(cfg, y, graph, pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 8 / graph.n_edges
+
+
+@pytest.mark.parametrize("base,snr_db,bound", [
+    (H.DESK_CONFIG, -7.0, 9.75),
+    (H.PAPER_CONFIG, 2.0, 13.3),
+], ids=["desk", "paper"])
+def test_decode_working_set(base, snr_db, bound):
+    # One iteration holds one live copy of each per-edge array and ends
+    # its temporaries in their step: the peak reads 8.1 at DESK and 11.4 at
+    # PAPER (numpy 2.4). With arrays kept past their step it read 19.5 and
+    # 26.6; each bound is half of that, so such a regression fails here
+    assert _traced_decode_peak(base, snr_db) <= bound
