@@ -1,7 +1,8 @@
 """System configuration, validation, and scalar link metrics.
 
 All SNR values are stored linear internally; db_to_linear converts the dB
-values given at the boundaries.
+values given at the boundaries. FIELDS, each field's kind and bounds, drives
+validate_config and read_config_file.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ class ConfigError(ValueError):
 # scaled by T * E[d] in the receiver and DE, larger amplitudes overflow
 # float64 (gains of 1e153 already do in DE at DESK_CONFIG).
 MAX_AMPLITUDE = 1e100
+# The bound on |int| in every field but the seed: numpy takes a Python int
+# as an int64, in array sizes and in arithmetic alike
+INT_MAX = 2**63 - 1
 
 
 def db_to_linear(x_db):
@@ -105,106 +109,159 @@ class SystemConfig:
         return dataclasses.replace(self, noise_variance=float(xi_w))
 
 
-def validate_gains(gains):
-    """gains as a float array; ConfigError unless it is a non-empty 1-D
-    sequence of finite numbers in [0, MAX_AMPLITUDE].
-
-    The check for SystemConfig.gains and for DE's active gains. A Python
-    int beyond float range is rejected here, not left to raise
-    OverflowError in the conversion.
-    """
-    try:
-        g = np.asarray(gains, dtype=float)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"gains must be real numbers ({exc})") from None
-    if g.ndim != 1 or g.size == 0:
-        raise ConfigError("gains must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(g) & (g >= 0) & (g <= MAX_AMPLITUDE)):
-        raise ConfigError("gains must be finite, >= 0 and "
-                          f"<= {MAX_AMPLITUDE:g}")
-    return g
-
-
-def validate_racf(racf):
-    if not isinstance(racf.probs, tuple):     # DE caches per hashable config
-        raise ConfigError("RACf probs must be a tuple")
-    if any(map(_is_bool, racf.probs)):
-        raise ConfigError("racf.probs must be real numbers, not bools")
-    p = np.asarray(racf.probs, dtype=float)
-    if racf.d_max < 1:
-        raise ConfigError("RACf d_max must be >= 1")
-    if not np.all(np.isfinite(p)):
-        raise ConfigError("RACf has a non-finite probability")
-    if np.any(p < 0):
-        raise ConfigError("RACf has a negative probability")
-    s = p.sum()
-    if abs(s - 1.0) > 1e-12:
-        raise ConfigError(f"RACf sums to {s:.12g}, expected 1")
-    return racf
-
-
-def _is_bool(v):
-    """A bool or numpy bool, which int and float checks would accept."""
-    return isinstance(v, (bool, np.bool_))
-
-
 def _is_int(v):
     """An int or numpy integer, and not a bool (True would pass as 1)."""
-    return isinstance(v, (int, np.integer)) and not _is_bool(v)
+    return (isinstance(v, (int, np.integer))
+            and not isinstance(v, (bool, np.bool_)))
 
 
-def _is_finite(v):
-    """A finite real number, and not a bool (True would pass as 1.0)."""
-    return _is_int(v) or (isinstance(v, (float, np.floating))
-                          and math.isfinite(v))
+def _real(v):
+    """v as a float if it is a finite float, or an int within +-INT_MAX
+    (np.sqrt fails on 10**20, float() on 10**400); else None."""
+    if (isinstance(v, (float, np.floating))
+            or _is_int(v) and -INT_MAX <= v <= INT_MAX):
+        x = float(v)
+        return x if math.isfinite(x) else None
+    return None
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A field's kind: parse reads its config-file string (ValueError if
+    malformed); check raises a ConfigError that starts with the field's
+    name unless ok(value), and ok may raise a more precise one."""
+
+    doc: str
+    ok: object
+    parse: object = float
+
+    def check(self, name, v):
+        if not self.ok(v):
+            raise ConfigError(f"{name} {v!r} is not {self.doc}")
+
+
+def integer(lo, hi=INT_MAX):
+    return Kind(f"an integer in [{lo}, {hi}]",
+                lambda v: _is_int(v) and lo <= v <= hi, int)
+
+
+def real(lo, hi, ends="()"):
+    """A finite real (see _real) from lo to hi, each end open or closed
+    as ends reads: "()", "(]" or "[]"."""
+    def ok(v):
+        x = _real(v)
+        return (x is not None and (lo < x or ends[0] == "[" and x == lo)
+                and (x < hi or ends[1] == "]" and x == hi))
+    return Kind(f"a finite real number in {ends[0]}{lo:g}, {hi:g}{ends[1]}",
+                ok)
+
+
+def choice(*values):
+    return Kind(f"one of {values}",
+                lambda v: isinstance(v, str) and v in values, str)
+
+
+def _probs_ok(p):
+    """RACf probabilities: a tuple (DE caches per hashable config) of two
+    or more finite reals >= 0; raises if they do not sum to 1."""
+    if not (isinstance(p, tuple) and len(p) > 1
+            and all(_real(x) is not None and x >= 0 for x in p)):
+        return False
+    s = np.asarray(p, dtype=float).sum()
+    if abs(s - 1.0) > 1e-12:
+        raise ConfigError(f"racf.probs sums to {s:.12g}, expected 1")
+    return True
+
+
+def _parse_probs(raw):
+    """`degree:probability` pairs, as in `0:0.90,1:0.06,2:0.04`."""
+    pairs = {}
+    for item in raw.split(","):
+        d, colon, p = item.partition(":")
+        if not colon:
+            raise ConfigError(f"expected `degree:probability`, got "
+                              f"{item.strip()!r}")
+        d = int(d)
+        if d in pairs:
+            raise ConfigError(f"RACf degree {d} is given twice")
+        pairs[d] = float(p)
+    return Racf.from_dict(pairs).probs
+
+
+def _gains_ok(g):
+    """A non-empty tuple, list or 1-D array of reals in [0, MAX_AMPLITUDE];
+    not bools or strings, which a float conversion would read as 1.0."""
+    x = ([_real(v) for v in g] if isinstance(g, (tuple, list))
+         or isinstance(g, np.ndarray) and g.ndim == 1 else [])
+    return bool(x) and all(v is not None and 0 <= v <= MAX_AMPLITUDE
+                           for v in x)
+
+
+GAINS = Kind("a non-empty 1-D sequence of real numbers in "
+             f"[0, {MAX_AMPLITUDE:g}]", _gains_ok,
+             lambda raw: tuple(map(float, raw.split(","))))
+
+
+def validate_gains(gains):
+    """gains as a float array; ConfigError unless GAINS.ok. The check for
+    DE's active gains and, unless None, SystemConfig.gains."""
+    GAINS.check("gains", gains)
+    return np.asarray(gains, dtype=float)
+
+
+# Each field's kind and bounds, keyed by the name its messages give it; a
+# dotted name is a field of SystemConfig's Racf or ChannelPrior.
+FIELDS = {
+    "K": integer(1),
+    "p_a": real(0, 1, "(]"),
+    "m": integer(1),
+    "code_rate": real(0, 1),
+    "T": integer(1),
+    "racf.probs": Kind("a tuple of two or more finite real numbers >= 0 "
+                       "that sum to 1", _probs_ok, _parse_probs),
+    "prior.mean": real(-MAX_AMPLITUDE, MAX_AMPLITUDE, "[]"),
+    "prior.var": real(0, math.inf),
+    "gains": Kind("None or " + GAINS.doc, lambda v: v is None or GAINS.ok(v),
+                  GAINS.parse),
+    "noise_variance": real(0, math.inf),
+    "system_seed": integer(0, 2**64 - 1),   # pattern.mix reads 64 bits
+    "max_iterations": integer(1),
+    "activity_threshold": real(0, 1),
+    "d_v": integer(2),
+    "activity_mode": choice("fixed", "bernoulli"),
+}
+
+# config-file key -> FIELDS name: a dotted name's parts joined by "_"
+# (prior_mean), but the RACf's one field takes the RACf's name
+FILE_KEYS = {"racf" if name == "racf.probs" else name.replace(".", "_"): name
+             for name in FIELDS}
+
+
+def _get(cfg, name):
+    """cfg's value of a FIELDS name: cfg.prior.mean for prior.mean."""
+    head, _, attr = name.partition(".")
+    v = getattr(cfg, head)
+    if attr and not hasattr(v, attr):       # a plain tuple as racf
+        raise ConfigError(f"{head} {v!r} has no field {attr}")
+    return getattr(v, attr) if attr else v
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant; returns cfg unchanged if valid."""
-    validate_racf(cfg.racf)
-    if not (_is_finite(cfg.p_a) and 0 < cfg.p_a <= 1):
-        raise ConfigError(f"p_a = {cfg.p_a!r} outside (0, 1]")
-    for name in ("K", "m", "T"):
-        v = getattr(cfg, name)
-        if not (_is_int(v) and v > 0):
-            raise ConfigError(f"{name} = {v} must be a positive integer")
-    for name in ("code_rate", "activity_threshold"):
-        v = getattr(cfg, name)
-        if not (_is_finite(v) and 0 < v < 1):
-            raise ConfigError(f"{name} = {v!r} outside (0, 1)")
+    """Check every field against FIELDS, then the invariants that join
+    fields; returns cfg unchanged if valid."""
+    for name, kind in FIELDS.items():
+        kind.check(name, _get(cfg, name))
     n_exact = cfg.m / cfg.code_rate
     if abs(n_exact - round(n_exact)) > 1e-9:
         raise ConfigError(f"N non-integer: m/code_rate = {n_exact:.6g}")
     if cfg.racf.d_max > cfg.N:
         raise ConfigError(f"RACf d_max = {cfg.racf.d_max} exceeds N = {cfg.N}")
-    if not (_is_finite(cfg.prior.mean)
-            and abs(cfg.prior.mean) <= MAX_AMPLITUDE):
-        raise ConfigError("prior.mean must be a finite number with "
-                          f"|prior.mean| <= {MAX_AMPLITUDE:g}")
-    if not (_is_finite(cfg.prior.var) and cfg.prior.var > 0):
-        raise ConfigError("prior.var must be a finite number > 0")
-    if not (_is_finite(cfg.noise_variance) and cfg.noise_variance > 0):
-        raise ConfigError("noise_variance must be a finite number > 0")
-    if cfg.gains is not None:
-        # checked before the float conversion, which reads True as 1.0
-        if any(map(_is_bool, cfg.gains)):
-            raise ConfigError("gains must be real numbers, not bools")
-        g = validate_gains(cfg.gains)
-        if len(g) != cfg.K:
-            raise ConfigError(f"gains has length {len(g)}, "
-                              f"expected K = {cfg.K}")
-    if not (_is_int(cfg.max_iterations) and cfg.max_iterations >= 1):
-        raise ConfigError("max_iterations must be an integer >= 1")
-    if not (_is_int(cfg.d_v) and cfg.d_v >= 2):
-        raise ConfigError("d_v must be an integer >= 2")
     if cfg.d_v > cfg.N - cfg.m:
         raise ConfigError(f"d_v = {cfg.d_v} exceeds the N - m = "
                           f"{cfg.N - cfg.m} parity checks")
-    if not (_is_int(cfg.system_seed) and cfg.system_seed >= 0):
-        raise ConfigError(f"system_seed = {cfg.system_seed!r} must be an "
-                          "integer >= 0")
-    if cfg.activity_mode not in ("fixed", "bernoulli"):
-        raise ConfigError(f"unknown activity_mode {cfg.activity_mode!r}")
+    if cfg.gains is not None and len(cfg.gains) != cfg.K:
+        raise ConfigError(f"gains has length {len(cfg.gains)}, "
+                          f"expected K = {cfg.K}")
     return cfg
 
 
@@ -247,37 +304,14 @@ def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> flo
     return float(signal / gamma)
 
 
-def _parse_value(key, raw):
-    """Parse one value; raises ValueError if it is malformed."""
-    raw = raw.strip()
-    if key == "racf":
-        pairs = {}
-        for item in raw.split(","):
-            d, colon, p = item.partition(":")
-            if not colon:
-                raise ConfigError(f"expected `degree:probability`, got "
-                                  f"{item.strip()!r}")
-            d = int(d)
-            if d in pairs:
-                raise ConfigError(f"RACf degree {d} is given twice")
-            pairs[d] = float(p)
-        return Racf.from_dict(pairs)
-    if key == "gains":
-        return tuple(float(x) for x in raw.split(","))
-    if key in ("K", "m", "T", "system_seed", "max_iterations", "d_v"):
-        return int(raw)
-    if key == "activity_mode":
-        return raw
-    return float(raw)
-
-
 def read_config_file(path) -> SystemConfig:
     """Read a flat `key = value` config file (# starts a comment).
 
-    Keys mirror SystemConfig fields, each given once; the prior is given
-    as prior_mean / prior_var; the RACf as `racf = 0:0.90,1:0.06,2:0.04`.
+    The keys are FILE_KEYS, each given once: SystemConfig's fields, with
+    the prior as prior_mean / prior_var and the RACf as
+    `racf = 0:0.90,1:0.06,2:0.04`. A field not given keeps its default.
     """
-    fields = {}
+    values, unknown = {}, set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -287,19 +321,23 @@ def read_config_file(path) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, raw = line.split("=", 1)
             key = key.strip()
-            if key in fields:
+            name = FILE_KEYS.get(key)
+            if name is None:
+                unknown.add(key)
+            elif name in values:
                 raise ConfigError(f"{path}:{lineno}: {key}: given twice")
-            try:
-                fields[key] = _parse_value(key, raw)
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
-    known = ({f.name for f in dataclasses.fields(SystemConfig)} - {"prior"}
-             | {"prior_mean", "prior_var"})
-    unknown = set(fields) - known
+            else:
+                try:
+                    values[name] = FIELDS[name].parse(raw.strip())
+                except ValueError as e:
+                    raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "prior_mean" in fields or "prior_var" in fields:
-        default = ChannelPrior()
-        fields["prior"] = ChannelPrior(fields.pop("prior_mean", default.mean),
-                                       fields.pop("prior_var", default.var))
+    fields = {}
+    for name, v in values.items():
+        head, _, attr = name.partition(".")
+        if attr:
+            v = dataclasses.replace(
+                fields.get(head, getattr(SystemConfig, head)), **{attr: v})
+        fields[head] = v
     return validate_config(SystemConfig(**fields))

@@ -13,12 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ldpc, phy, receiver
-from .config import (ConfigError, SystemConfig, _is_int, db_to_linear,
+from .config import (FIELDS, SystemConfig, choice, db_to_linear, integer,
                      noise_variance_for_snr, validate_config,
                      validate_snr_db_grid)
 from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
+# ExperimentSpec's own fields, as config.FIELDS states SystemConfig's; the
+# master seed replaces system_seed, so it takes that field's kind
+SPEC_FIELDS = {"trials": integer(1), "workers": integer(1),
+               "master_seed": FIELDS["system_seed"], "mode": choice(*MODES)}
 
 
 @dataclass(frozen=True)
@@ -39,17 +43,10 @@ class ExperimentSpec:
         return dataclasses.replace(self.cfg, system_seed=self.master_seed)
 
     def validate(self):
-        if not (_is_int(self.master_seed) and self.master_seed >= 0):
-            raise ConfigError(f"master_seed = {self.master_seed!r} must be "
-                              "an integer >= 0")
+        for name, kind in SPEC_FIELDS.items():
+            kind.check(name, getattr(self, name))
         validate_config(self.base)
-        for name in ("trials", "workers"):
-            v = getattr(self, name)
-            if not (_is_int(v) and v >= 1):
-                raise ConfigError(f"{name} = {v!r} must be an integer >= 1")
         validate_snr_db_grid(self.snr_db_grid)
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
         return self
 
 
@@ -87,8 +84,7 @@ def _point_configs(base: SystemConfig, snr_db_grid):
 
 def run_trial(cfg: SystemConfig, pc, graph, trial_index, mode="grant-free"):
     """One end-to-end trial; returns (truth, TrialOutcome)."""
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
+    SPEC_FIELDS["mode"].check("mode", mode)
     truth = phy.make_ground_truth(cfg, pc, trial_index)
     y = phy.superpose(cfg, truth, graph)
     kwargs = {}

@@ -274,3 +274,125 @@ def test_amplitude_bound(field):
         cfg = C.validate_config(cfg_at(C.MAX_AMPLITUDE))
         H.monte_carlo(H.ExperimentSpec(cfg, (-8.0, -6.0), trials=2))
         de.threshold_search(cfg, H.expected_active_gains(cfg))
+
+
+# Every field of config.FIELDS and harness.SPEC_FIELDS, by the name its
+# messages give it: written out, so that the bad-class test also runs on
+# code without those tables, and checked against them by
+# test_bad_class_cases_cover_every_field.
+CONFIG_NAMES = ["K", "p_a", "m", "code_rate", "T", "racf.probs",
+                 "prior.mean", "prior.var", "gains", "noise_variance",
+                 "system_seed", "max_iterations", "activity_threshold",
+                 "d_v", "activity_mode"]
+SPEC_NAMES = ["trials", "workers", "master_seed", "mode"]
+
+BAD = {"bool": True, "np.bool_": np.True_, "nan": float("nan"),
+       "inf": float("inf"), "-inf": float("-inf"), "10**400": 10 ** 400,
+       "negative": -1, "zero": 0, "string": "1", "container": [1]}
+# the classes that are valid values of a field; gains and racf.probs get
+# each bad value as an entry, and a wrong container of their own
+VALID = {"system_seed": {"zero"}, "master_seed": {"zero"},
+         "prior.mean": {"zero", "negative"}, "gains": {"zero"},
+         "racf.probs": {"zero"}}
+CONTAINER = {"gains": [[1.0] * DESK_CONFIG.K], "racf.probs": [0.9, 0.06, 0.04]}
+
+
+def with_bad(field, kind):
+    """The value of field in DESK_CONFIG with the bad class kind in it."""
+    if kind == "container" and field in CONTAINER:
+        return CONTAINER[field]
+    if field == "gains":
+        return (BAD[kind],) * DESK_CONFIG.K
+    if field == "racf.probs":
+        return (0.9, 0.1, BAD[kind])
+    return BAD[kind]
+
+
+def validate_with(field, v):
+    """validate_config or ExperimentSpec.validate with field set to v."""
+    if field in SPEC_NAMES:
+        return H.ExperimentSpec(DESK_CONFIG, (0.0,), **{field: v}).validate()
+    head, _, attr = field.partition(".")
+    if attr:
+        v = dataclasses.replace(getattr(DESK_CONFIG, head), **{attr: v})
+    return C.validate_config(dataclasses.replace(DESK_CONFIG, **{head: v}))
+
+
+@pytest.mark.parametrize("field,kind", [
+    (field, kind) for field in CONFIG_NAMES + SPEC_NAMES for kind in BAD
+    if kind not in VALID.get(field, ())])
+def test_every_field_rejects_every_bad_class(field, kind):
+    # validation only: no graph is built and no trial runs at these values
+    with pytest.raises(C.ConfigError, match=rf"^{re.escape(field)}\b"):
+        validate_with(field, with_bad(field, kind))
+
+
+def test_bad_class_cases_cover_every_field():
+    assert CONFIG_NAMES == list(C.FIELDS)
+    assert SPEC_NAMES == list(H.SPEC_FIELDS)
+    # the classes left out are valid, placed as with_bad places them
+    for field, kinds in VALID.items():
+        for kind in kinds:
+            validate_with(field, with_bad(field, kind))
+
+
+@pytest.mark.parametrize("probs", [(10 ** 400, 0.0, 0.0),
+                                   (0.9, 0.1, 10 ** 400)])
+def test_racf_int_beyond_float_range(probs):
+    # the float conversion raised OverflowError before any check
+    with pytest.raises(C.ConfigError, match=r"^racf\.probs\b"):
+        C.validate_config(paper_like_config(racf=C.Racf(probs)))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("racf", (0.9, 0.06, 0.04)), ("prior", (1.0, 10.0))])
+def test_container_of_the_wrong_type(field, value):
+    # a plain tuple raised AttributeError reading racf.probs or prior.mean
+    with pytest.raises(C.ConfigError, match=rf"^{field}\b"):
+        C.validate_config(paper_like_config(**{field: value}))
+
+
+def write_config_file(cfg, path):
+    """Write every config-file key of cfg; gains = None (every gain 1.0)
+    has no file form, so it is left out."""
+    lines = []
+    for key, name in C.FILE_KEYS.items():
+        head, _, attr = name.partition(".")
+        v = getattr(cfg, head)
+        v = getattr(v, attr) if attr else v
+        if name == "racf.probs":
+            v = ",".join(f"{d}:{p!r}" for d, p in enumerate(v))
+        elif name == "gains" and v is not None:
+            v = ",".join(map(repr, v))
+        if v is not None:
+            lines.append(f"{key} = {v}\n")
+    path.write_text("".join(lines))
+
+
+NON_DEFAULT = C.SystemConfig(
+    K=20, p_a=0.15, m=96, code_rate=0.8, T=1000,
+    racf=C.Racf((0.85, 0.1, 0.0, 0.05)), prior=C.ChannelPrior(-0.5, 2.5),
+    gains=tuple(0.5 + 0.1 * k for k in range(20)), noise_variance=0.37,
+    system_seed=2 ** 64 - 1, max_iterations=7, activity_threshold=0.3,
+    d_v=4, activity_mode="bernoulli")
+
+
+@pytest.mark.parametrize("cfg", [H.PAPER_CONFIG, NON_DEFAULT],
+                         ids=["paper", "non-default"])
+def test_config_file_round_trip_every_key(tmp_path, cfg):
+    # the file keys cover every SystemConfig field
+    heads = {name.partition(".")[0] for name in C.FILE_KEYS.values()}
+    assert heads == {f.name for f in dataclasses.fields(C.SystemConfig)}
+    p = tmp_path / "every.cfg"
+    write_config_file(C.validate_config(cfg), p)
+    assert C.read_config_file(p) == cfg
+
+
+def test_non_default_config_differs_in_every_field():
+    default = C.SystemConfig()
+    for name in CONFIG_NAMES:
+        head, _, attr = name.partition(".")
+        a, b = getattr(NON_DEFAULT, head), getattr(default, head)
+        if attr:
+            a, b = getattr(a, attr), getattr(b, attr)
+        assert a != b, name
