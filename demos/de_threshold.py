@@ -19,8 +19,7 @@ print("threshold SNR for %d active users: %.2f dB" % (len(gains), th))
 for delta in (-1.0, 0.5, 2.0):
     gamma_db = th + delta
     xi_w = noise_variance_for_snr(cfg, db_to_linear(gamma_db), gains)
-    trace = []
-    final = de.run_de(cfg.with_noise_variance(xi_w), gains, trace=trace)
+    trace = list(de.states(cfg.with_noise_variance(xi_w), gains))
     mi = [float(np.min(st.mi)) for st in trace]
     tail = " -> ".join("%.3f" % v for v in mi[:6])
     print("%+.1f dB from threshold: %3d iterations, MI %s ... %.4f"

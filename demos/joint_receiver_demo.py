@@ -2,10 +2,10 @@
 
 Builds a desk-scale block, runs the joint receiver, and prints how the
 activity posteriors and channel estimates evolve iteration by iteration.
-The decoder is deterministic, so the beliefs after iteration n are those of
-the same decode capped at n iterations; the table replays those decodes.
+The table reads the views that receiver.iterate yields to the receiver's
+stop rule, so the block is decoded once.
 """
-import dataclasses
+import itertools
 
 import numpy as np
 
@@ -26,19 +26,26 @@ y = phy.superpose(cfg, truth, graph)
 active = np.flatnonzero(truth.active)
 print("active users:", active.tolist(), " SNR -5.0 dB  (xi_w = %.4f)" % xi_w)
 
-outcome = receiver.joint_decode(cfg, y, graph, pc)
+views = []
 
-shown = list(range(1, min(outcome.iterations, 10) + 1))
-if outcome.iterations > 10:
-    shown.append(outcome.iterations)
+
+def kept(stream):
+    """stream's views, each also appended to views as it is read."""
+    for v in stream:
+        views.append(v)
+        yield v
+
+
+# joint_decode's run, spelt out so that the views it reads are kept
+outcome = receiver.stop_rule(cfg, pc, kept(itertools.islice(
+    receiver.iterate(cfg, y, graph, pc), cfg.max_iterations)))
+
 print("\niter   q (active users)          mu_h (active)        max q inactive")
-for n in shown:
-    capped = receiver.joint_decode(
-        dataclasses.replace(cfg, max_iterations=n), y, graph, pc)
-    qa = " ".join("%.3f" % capped.q[k] for k in active)
-    mh = " ".join("%.3f" % capped.mu_h[k] for k in active)
-    qi = capped.q[~truth.active].max()
-    print("%4d   %-24s  %-20s  %.4f" % (n, qa, mh, qi))
+for v in views[:10] + views[10:][-1:]:      # the first ten and the last
+    qa = " ".join("%.3f" % v.q[k] for k in active)
+    mh = " ".join("%.3f" % v.mu_h[k] for k in active)
+    qi = v.q[~truth.active].max()
+    print("%4d   %-24s  %-20s  %.4f" % (v.n, qa, mh, qi))
 
 print("\nterminated after", outcome.iterations, "iterations:",
       outcome.converged)

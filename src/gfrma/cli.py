@@ -5,8 +5,8 @@ import argparse
 import sys
 
 from . import harness, pattern
-from .config import (ConfigError, SystemConfig, read_config_file,
-                     validate_config, validate_snr_db_grid)
+from .config import (SNR_DB_GRID, ConfigError, SystemConfig,
+                     read_config_file, validate_config, validate_snr_db_grid)
 
 
 def _load_config(args) -> SystemConfig:
@@ -18,7 +18,7 @@ def _load_config(args) -> SystemConfig:
 
 
 def _snr_grid(args):
-    return tuple(float(x) for x in args.snr_db.split(","))
+    return SNR_DB_GRID.parse(args.snr_db)
 
 
 def _add_options(p, snr=False, run=False, out=False):

@@ -276,16 +276,27 @@ def throughput(cfg: SystemConfig) -> float:
     return cfg.K * cfg.p_a * cfg.m / cfg.T
 
 
-def validate_snr_db_grid(snr_db_grid):
-    """Raise ConfigError unless the dB grid is non-empty and every point
-    gives a finite linear SNR > 0 (NaN fails, and so do dB values whose
-    linear SNR overflows to inf or underflows to 0)."""
-    if len(snr_db_grid) == 0:
-        raise ConfigError("SNR grid must be non-empty")
+def _grid_ok(g):
+    """A non-empty tuple or list of reals (see _real) whose linear SNRs are
+    finite and > 0: dB values that overflow to inf or underflow to 0 fail.
+    _real rejects an element that is a str, a bool or a sequence."""
+    x = [_real(v) for v in g] if isinstance(g, (tuple, list)) else []
+    if not x or None in x:
+        return False
     with np.errstate(over="ignore"):
-        gamma = db_to_linear(snr_db_grid)
-    if not np.all(np.isfinite(gamma) & (gamma > 0)):
-        raise ConfigError("SNR grid must give a finite linear SNR > 0")
+        gamma = db_to_linear(x)
+    return bool(np.all(np.isfinite(gamma) & (gamma > 0)))
+
+
+SNR_DB_GRID = Kind("a non-empty tuple or list of finite real dB values, "
+                   "each with a finite linear SNR > 0", _grid_ok,
+                   GAINS.parse)
+
+
+def validate_snr_db_grid(snr_db_grid):
+    """snr_db_grid unchanged; ConfigError unless SNR_DB_GRID.ok. The one
+    check of a sweep's or gfrma de's dB grid."""
+    SNR_DB_GRID.check("snr_db_grid", snr_db_grid)
     return snr_db_grid
 
 

@@ -5,12 +5,13 @@ J-function (MI of a symmetric Gaussian LLR as a function of its standard
 deviation), with the channel-estimate uncertainty folded in by averaging
 the MI over a truncated Gaussian model of the estimated gain.
 
-Users with the same gain follow the same recursion, so run_de runs it once
-per distinct active gain (user class): each step works on one row per class,
-the class sizes weight the interference sum, and per-user rows are expanded
-only for the returned state and the trace. mi_step takes the gain and the
-user count of each row, so a direct call holds one user per row. E[d] and
-the check-degree profile are built once per code by _code_constants().
+states yields the per-user state after each iteration, and run_de returns
+the last. Users with the same gain follow the same recursion, so it runs
+once per distinct active gain (user class): each step works on one row per
+class, the class sizes weight the interference sum, and per-user rows are
+expanded only for the yielded states. mi_step takes the gain and the user
+count of each row, so a direct call holds one user per row. E[d] and the
+check-degree profile are built once per code by _code_constants().
 
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
@@ -24,6 +25,7 @@ the threshold tolerance); they alone import scipy, when called.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -329,39 +331,39 @@ def mi_step(state: DeState, cfg: SystemConfig, gains, count=1.0) -> DeState:
                    state.iteration + 1)
 
 
-def _per_user(st: DeState, user) -> DeState:
-    """The per-user state of a state held per class; user[k] is user k's
-    class."""
-    return DeState(st.mi[user], st.xi_h[user], st.mu_c2v[user], st.xi_s,
+def _rows(st: DeState, idx) -> DeState:
+    """st's rows idx: one per class from per-user rows at the classes'
+    first users, or one per user from per-class rows at the users' classes."""
+    return DeState(st.mi[idx], st.xi_h[idx], st.mu_c2v[idx], st.xi_s,
                    st.iteration)
 
 
-def run_de(cfg: SystemConfig, active_gains, trace=None):
-    """Iterate the recursion; returns the final per-user DeState.
-
-    trace, if given, is a list collecting the per-user DeState snapshots.
+def states(cfg: SystemConfig, active_gains):
+    """Yield the per-user DeState of each iteration: the initial state,
+    then one per mi_step, until every user's MI exceeds _MI_CONVERGED, no
+    user's MI moves by more than _STALL_TOL, or after _MAX_ITER steps.
     The recursion runs once per distinct gain, so users with equal gains
     get bitwise-equal rows. active_gains must pass config.validate_gains.
     """
     active_gains = validate_gains(active_gains)
     state = initial_de_state(cfg, active_gains)
-    if trace is not None:
-        trace.append(state)
+    yield state
     gain, first, user, count = np.unique(
         active_gains, return_index=True, return_inverse=True,
         return_counts=True)
-    state = DeState(state.mi[first], state.xi_h[first],
-                    state.mu_c2v[first], state.xi_s)
+    state = _rows(state, first)
     for _ in range(_MAX_ITER):
         new = mi_step(state, cfg, gain, count)
-        if trace is not None:
-            trace.append(_per_user(new, user))
-        done = np.all(new.mi > _MI_CONVERGED)
-        stalled = np.max(np.abs(new.mi - state.mi)) < _STALL_TOL
+        yield _rows(new, user)
+        if (np.all(new.mi > _MI_CONVERGED)
+                or np.max(np.abs(new.mi - state.mi)) < _STALL_TOL):
+            return
         state = new
-        if done or stalled:
-            break
-    return _per_user(state, user)
+
+
+def run_de(cfg: SystemConfig, active_gains) -> DeState:
+    """The final per-user DeState: the last of states(cfg, active_gains)."""
+    return collections.deque(states(cfg, active_gains), maxlen=1)[0]
 
 
 def de_converges(cfg: SystemConfig, active_gains, gamma) -> bool:
@@ -421,9 +423,7 @@ def write_de_trace(cfg: SystemConfig, active_gains, gamma_db_list, path,
         for gdb in gamma_db_list:
             xi_w = noise_variance_for_snr(cfg, db_to_linear(gdb),
                                           active_gains)
-            trace = []
-            run_de(cfg.with_noise_variance(xi_w), active_gains, trace=trace)
-            for st in trace:
+            for st in states(cfg.with_noise_variance(xi_w), active_gains):
                 for k in range(len(st.mi)):
                     f.write(f"{gdb:.6g},{st.iteration},{k},"
                             f"{st.mi[k]:.10g},{st.xi_h[k]:.10g},"

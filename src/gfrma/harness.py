@@ -19,9 +19,15 @@ from .config import (FIELDS, SystemConfig, choice, db_to_linear, integer,
 from .pattern import build_access_graph
 
 MODES = ("grant-free", "registration", "genie-csi")
+# The most worker processes a sweep starts. Each is a Python process with
+# its own numpy, code and graph (a single-process DESK sweep peaks at about
+# 44 MB), so 64 take about 2.8 GB, and more than a host has CPUs only
+# contend: a larger count is a slip, not a plan. Not tied to the CPU count,
+# so that a spec is valid or not on every host.
+MAX_WORKERS = 64
 # ExperimentSpec's own fields, as config.FIELDS states SystemConfig's; the
 # master seed replaces system_seed, so it takes that field's kind
-SPEC_FIELDS = {"trials": integer(1), "workers": integer(1),
+SPEC_FIELDS = {"trials": integer(1), "workers": integer(1, MAX_WORKERS),
                "master_seed": FIELDS["system_seed"], "mode": choice(*MODES)}
 
 
@@ -153,7 +159,8 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     """Aggregate run_trial over the SNR grid.
 
     One task list holds every (point config, trial): with workers > 1, one
-    pool runs it, and the code and the graph reach each worker once.
+    pool of at most one process per task runs it, and the code and the
+    graph reach each worker once.
     """
     spec.validate()
     base = spec.base
@@ -162,8 +169,9 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
     graph = build_access_graph(base)
     tasks = [(cfg, i) for cfg in _point_configs(base, spec.snr_db_grid)
              for i in range(spec.trials)]
-    if spec.workers > 1:
-        with multiprocessing.Pool(spec.workers, _pool_init,
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers, _pool_init,
                                   (pc, graph, spec.mode)) as pool:
             rows = pool.starmap(_pool_trial, tasks)
     else:

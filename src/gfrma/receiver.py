@@ -6,11 +6,13 @@ status node per user carrying its channel estimate and activity posterior.
 Messages flow RE -> symbol -> LDPC -> symbol -> RE each iteration, with the
 user status nodes refreshed from the symbol-wise channel estimates.
 
-joint_decode applies the per-edge update rules vectorized over all edges
-at once; the tests hold the same rules edge by edge as scalar oracles.
+iterate applies the update rules to all edges at once and yields each
+iteration's beliefs; the tests hold the same rules edge by edge as oracles.
 """
 from __future__ import annotations
 
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,21 +39,21 @@ class TrialOutcome:
     converged: str = "max_iterations"
 
 
-def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
-                 pc: ldpc.ParityCheck, known_active=None,
-                 known_gains=None) -> TrialOutcome:
-    """Run the full joint iteration on one received block.
+# Beliefs after iteration n: q, mu_h, xi_h per user, total per live user
+# (one with edges). Later iterations rebind these arrays, never write them.
+Iteration = namedtuple("Iteration", "n q mu_h xi_h total live")
+
+
+def iterate(cfg: SystemConfig, received, graph: AccessGraph,
+            pc: ldpc.ParityCheck, known_active=None, known_gains=None):
+    """Run the joint iteration on one received block, without end, and
+    yield an Iteration after each pass.
 
     known_active: bool mask for the registration-based baseline; users known
     inactive are removed from the graph and actives have q pinned to 1.
     known_gains: per-user amplitudes for the genie baseline; channel
     estimates are held there (variance KNOWN_GAIN_VAR), not estimated.
-
-    Stops when every declared user passes its syndrome, when no posterior
-    LLR moves by more than STALL_TOL, or after cfg.max_iterations.
     """
-    if cfg.max_iterations < 1:
-        raise ValueError(f"max_iterations = {cfg.max_iterations} < 1")
     y = np.asarray(received, dtype=float)
     if known_active is not None:
         known_active = np.asarray(known_active, dtype=bool)
@@ -86,9 +88,7 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
     c2v = np.zeros((n_live, len(pc.layout.edge_var)))
     c2v_sum = np.zeros((n_live, pc.n))
     m_soft = np.zeros(graph.n_edges)      # tanh(v2r / 2) of v2r = 0
-    total = None
-    converged = "max_iterations"
-    for n in range(1, cfg.max_iterations + 1):
+    for n in itertools.count(1):
         # Every per-edge array is updated in place or ended in its step, so
         # only resid, xi_i and r2v, which later steps read, live across the
         # LDPC flood. The out= writes keep each operation and its operand
@@ -124,7 +124,6 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
 
         # (3) one flooding LDPC iteration per live user, from the summed
         # channel LLRs, which end with the flood
-        prev_total = total
         c2v, c2v_sum, total = ldpc.flood(
             np.bincount(e_sym, weights=r2v, minlength=n_live * pc.n)
             .reshape(n_live, pc.n), c2v, c2v_sum, pc)
@@ -158,30 +157,41 @@ def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
             q_new = _activity_posterior_vec(mu_h, xi_h, prior.mean,
                                             prior.var, cfg.p_a)
             q = np.where(graph.has_edges, q_new, q)
+        yield Iteration(n, q, mu_h, xi_h, total, live)
 
-        hard = (total < 0).astype(np.uint8)
-        declared = q > cfg.activity_threshold
+
+def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
+                 pc: ldpc.ParityCheck, known_active=None,
+                 known_gains=None) -> TrialOutcome:
+    """stop_rule over the first cfg.max_iterations views of iterate."""
+    if cfg.max_iterations < 1:
+        raise ValueError(f"max_iterations = {cfg.max_iterations} < 1")
+    views = iterate(cfg, received, graph, pc, known_active, known_gains)
+    return stop_rule(cfg, pc, itertools.islice(views, cfg.max_iterations))
+
+
+def stop_rule(cfg: SystemConfig, pc: ldpc.ParityCheck, views) -> TrialOutcome:
+    """The outcome at the first of iterate's views (at least one) where
+    every declared user passes its syndrome ("all_declared_decoded") or no
+    posterior LLR moved by more than STALL_TOL ("stalled"), else the last."""
+    prev, converged = None, "max_iterations"
+    for it in views:
+        hard = (it.total < 0).astype(np.uint8)
+        declared = it.q > cfg.activity_threshold
         if (declared.any()
-                and ldpc.syndrome_ok(hard[declared[live]], pc).all()):
+                and ldpc.syndrome_ok(hard[declared[it.live]], pc).all()):
             converged = "all_declared_decoded"
             break
-        if (prev_total is not None
-                and np.max(np.abs(total - prev_total), initial=0.0)
+        if (prev is not None
+                and np.max(np.abs(it.total - prev.total), initial=0.0)
                 < STALL_TOL):
             converged = "stalled"
             break
-
+        prev = it
     bits = np.zeros((cfg.K, pc.m), dtype=np.uint8)
-    bits[live] = hard[:, :pc.m]
-    return TrialOutcome(
-        decoded_bits=bits,
-        declared=declared,
-        q=q,
-        mu_h=mu_h,
-        xi_h=xi_h,
-        iterations=n,
-        converged=converged,
-    )
+    bits[it.live] = hard[:, :pc.m]
+    return TrialOutcome(bits, declared, it.q, it.mu_h, it.xi_h, it.n,
+                        converged)
 
 
 def _activity_posterior_vec(mu_h, xi_h, prior_mean, prior_var, p_a):

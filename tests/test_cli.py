@@ -71,6 +71,17 @@ def test_de_command_rejects_nan_snr(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_de_command_names_the_bad_grid(tmp_path, capsys):
+    # the sweep's grid check: its message names the grid
+    cfg = write_cfg(tmp_path, T=6400)
+    out = tmp_path / "de.csv"
+    rc = cli.main(["de", "--config", cfg, "--snr-db=0,5000", "--out",
+                   str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: snr_db_grid ")
+    assert not out.exists()
+
+
 def test_graph_dump_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, K=3, T=100)
     out = tmp_path / "graph.txt"

@@ -382,8 +382,7 @@ def test_run_de_equal_gains_equal_rows(cfg, n_active):
     g = np.ones(n_active)
     for gdb in (-8.0, -6.0, -2.0, 2.0, 6.0):
         xi_w = C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), g)
-        trace = []
-        de.run_de(cfg.with_noise_variance(xi_w), g, trace=trace)
+        trace = list(de.states(cfg.with_noise_variance(xi_w), g))
         for st in trace:
             for name in ("mi", "xi_h", "mu_c2v"):
                 row = getattr(st, name)
@@ -397,8 +396,7 @@ def test_run_de_mixed_gains_matches_per_user_chain(gdb):
     g = np.array([1.0, 0.8, 1.0, 1.0, 0.8])
     cfg_w = cfg.with_noise_variance(
         C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), g))
-    trace = []
-    de.run_de(cfg_w, g, trace=trace)
+    trace = list(de.states(cfg_w, g))
     # the same recursion, one user at a time, under run_de's stop rule
     ref = [de.initial_de_state(cfg_w, g)]
     for _ in range(de._MAX_ITER):
@@ -428,10 +426,9 @@ def test_run_de_steps_through_module_mi_step(monkeypatch):
     monkeypatch.setattr(de, "mi_step", counted)
     cfg = desk_cfg()
     g = np.ones(3)
-    trace = []
-    final = de.run_de(cfg.with_noise_variance(
-        C.noise_variance_for_snr(cfg, C.db_to_linear(-6.0), g)), g,
-        trace=trace)
+    trace = list(de.states(cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(-6.0), g)), g))
+    final = trace[-1]
     assert final.iteration > 1
     assert calls == list(range(final.iteration))
     assert len(trace) == final.iteration + 1
@@ -442,8 +439,7 @@ def test_mi_trajectory_non_decreasing():
     g = np.ones(3)
     for gdb in (-10.0, -6.0, -2.0):
         xi_w = C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), g)
-        trace = []
-        de.run_de(cfg.with_noise_variance(xi_w), g, trace=trace)
+        trace = list(de.states(cfg.with_noise_variance(xi_w), g))
         assert len(trace) <= 200        # DE ends well before _MAX_ITER
         mis = np.array([st.mi for st in trace])
         assert np.all(np.diff(mis, axis=0) >= -1e-8)
@@ -645,9 +641,32 @@ def test_run_de_golden_digest(cfg, gains, gdb, digest):
     # order or its stop rule moves them (recorded with numpy 2.4 / scipy 1.17)
     cfg_w = cfg.with_noise_variance(
         C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), gains))
-    trace = []
-    de.run_de(cfg_w, gains, trace=trace)
+    trace = list(de.states(cfg_w, gains))
     assert _trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize("cfg,gains,gdb", [
+    (_DESK, np.ones(3), -7.0),
+    (_PAPER, np.ones(10), 1.0),
+    (_DESK, np.array([1.0, 0.8, 1.0, 1.0, 0.8]), 0.0),
+], ids=["desk-7", "paper+1", "mixed0"])
+def test_run_de_is_the_last_state(cfg, gains, gdb, monkeypatch):
+    # run_de runs de.states to its end, one module mi_step per step, and
+    # returns its last state bit for bit
+    cfg_w = cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), gains))
+    trace = list(de.states(cfg_w, gains))
+    calls = []
+    step = de.mi_step
+
+    def counted(*args):
+        calls.append(args[0].iteration)
+        return step(*args)
+
+    monkeypatch.setattr(de, "mi_step", counted)
+    final = de.run_de(cfg_w, gains)
+    assert calls == list(range(len(trace) - 1))
+    assert _trace_digest([final]) == _trace_digest(trace[-1:])
 
 
 def test_mi_step_golden_digest():

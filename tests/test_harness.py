@@ -49,6 +49,58 @@ def test_spec_validation():
             small_spec(master_seed=seed).validate()
 
 
+@pytest.mark.parametrize("grid", [
+    ("1",), ("-5",), "5", ((0.0,),), (True,), (np.True_,), (10 ** 400,),
+    [None]], ids=["str", "negative-str", "bare-str", "nested", "bool",
+                  "np.bool_", "10**400", "None"])
+def test_snr_grid_checked_before_conversion(grid):
+    # numpy read the strings and the nested grid as numbers, True as 1.0,
+    # and 10**400 raised OverflowError
+    with pytest.raises(C.ConfigError, match=r"^snr_db_grid\b"):
+        small_spec(snr_db_grid=grid).validate()
+
+
+def test_snr_grid_may_be_a_list():
+    small_spec(snr_db_grid=[-2, 2.0]).validate()
+
+
+def test_workers_bounded():
+    # validation only: no pool is started at these values
+    assert H.MAX_WORKERS >= 8
+    small_spec(workers=H.MAX_WORKERS).validate()
+    for workers in (H.MAX_WORKERS + 1, 10 ** 6):
+        with pytest.raises(C.ConfigError, match=r"^workers\b"):
+            small_spec(workers=workers).validate()
+
+
+def test_pool_has_no_more_processes_than_tasks(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records the process count asked for; runs the tasks here."""
+
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(H.multiprocessing, "Pool", InProcessPool)
+    spec = small_spec(trials=2, snr_db_grid=(0.0,), workers=8)
+    H.monte_carlo(spec)
+    assert started == [2]
+    # one task runs in this process
+    H.monte_carlo(dataclasses.replace(spec, trials=1))
+    assert started == [2]
+
+
 def test_run_trial_deterministic():
     cfg = small_cfg()
     pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,

@@ -396,6 +396,49 @@ def test_registration_without_actives():
     assert out.converged == "stalled" and out.iterations == 2
 
 
+@pytest.fixture(scope="module")
+def desk_block():
+    """DESK_CONFIG at master seed 1 and -7.0 dB: the config, code and graph,
+    and trial 0's truth and received block."""
+    base = dataclasses.replace(H.DESK_CONFIG, system_seed=1)
+    pc = L.construct_parity_check(base.m, base.code_rate, base.d_v,
+                                  base.system_seed)
+    graph = P.build_access_graph(base)
+    cfg = base.with_noise_variance(C.noise_variance_for_snr(
+        base, C.db_to_linear(-7.0), H.expected_active_gains(base)))
+    truth = phy.make_ground_truth(cfg, pc, 0)
+    return cfg, pc, graph, truth, phy.superpose(cfg, truth, graph)
+
+
+@pytest.mark.parametrize("mode", ["grant-free", "registration"])
+def test_iterate_views_are_capped_decodes(desk_block, mode):
+    # view n holds, bit for bit, the beliefs of the decode capped at n
+    cfg, pc, graph, truth, y = desk_block
+    known = truth.active if mode == "registration" else None
+    views = R.iterate(cfg, y, graph, pc, known_active=known)
+    for n, view in enumerate(itertools.islice(views, 5), 1):
+        capped = R.joint_decode(dataclasses.replace(cfg, max_iterations=n),
+                                y, graph, pc, known_active=known)
+        assert view.n == capped.iterations == n
+        for name in ("q", "mu_h", "xi_h"):
+            assert (getattr(view, name).tobytes()
+                    == getattr(capped, name).tobytes()), (n, name)
+
+
+def test_held_view_stays_valid(desk_block):
+    # later iterations rebind a view's arrays and never write them
+    cfg, pc, graph, _, y = desk_block
+    views = R.iterate(cfg, y, graph, pc)
+    first = next(views)
+    saved = [np.copy(arr) for arr in first[1:]]
+    for _ in range(5):
+        later = next(views)
+    assert first.n == 1 and later.n == 6
+    assert not np.array_equal(later.total, first.total)
+    for name, arr in zip(R.Iteration._fields[1:], saved):
+        assert getattr(first, name).tobytes() == arr.tobytes(), name
+
+
 def _traced_decode_peak(base, snr_db):
     """Traced peak of a warm 10-iteration grant-free joint_decode (master
     seed 1, trial 0), in float64s per access-graph edge."""
