@@ -16,7 +16,10 @@ check-degree profile are built once per code by _code_constants().
 The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
 _tables() builds once per process: J and Omega are evaluated on fixed grids
 by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
-inverse table. The splines are _Pchip, a numpy monotone cubic (Fritsch &
+inverse table. The check-node update l2 is one more spline per check-degree
+profile, built by _check_table() on first use from the composed J/J^-1
+form, _composed_check_update, at the J table's knots, so a DE step reads
+three splines. The splines are _Pchip, a numpy monotone cubic (Fritsch &
 Carlson) that returns scipy's PchipInterpolator values bit for bit, so DE
 runs on numpy alone. j_function and j_inverse are the adaptive-quadrature
 forms of J and J^-1, kept as the reference the tables are tested against
@@ -110,8 +113,9 @@ def _gauss_mean(f, s):
     temporaries stay the size of s.
     """
     acc = np.zeros_like(s)
+    mean = s * s / 2.0
     for u, w in zip(_GH_NODES, _GH_WEIGHTS):
-        acc += w * f(s * s / 2.0 + s * u)
+        acc += w * f(mean + s * u)
     return acc
 
 
@@ -174,6 +178,7 @@ class _Tables:
         jv = 1.0 - _gauss_mean(lambda v: np.logaddexp(0.0, -v), x) \
             / math.log(2.0)
         jv[x == 0.0] = 0.0     # exactly, as j_function(0)
+        self.knots = x
         self._j = _Pchip(x, jv)
         # strictly increasing part for the inverse
         keep = np.concatenate([[True], np.diff(jv) > 1e-15])
@@ -234,26 +239,46 @@ def _code_constants(racf, N, m, d_v):
     return racf_mean_degree(racf), (d_c, frac)
 
 
-def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
-    """One Gaussian-approximation LDPC DE step: mean of check-to-variable LLR.
-
-    Variable-to-check mean is mu_channel + (d_v - 1) * mu_c2v_prev; the
-    check update runs through the J-function MI algebra averaged over the
-    edge-perspective check-degree profile, check_degree_profile's
-    (d_c, fraction) pair. The check degrees share one J-table call.
+def _composed_check_update(x, d_c, frac):
+    """The Gaussian-approximation check-node update through the J tables:
+    mu_cv = J^-1(sum frac (1 - J(sqrt(d_c - 1) J^-1(1 - J(x)))))^2 / 2 at
+    x = sqrt(2 mu_vc), averaged over the edge-perspective check degrees
+    (d_c, frac), which share one J-table call. It builds _check_table's
+    knots and is the reference that table is tested against.
     """
-    d_c, frac = dc_profile
-    mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
-                       + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
-                       0.0)
     tab = _tables()
-    i_vc = tab.j(np.sqrt(2.0 * mu_vc))
-    x_rev = tab.j_inv(1.0 - i_vc)
+    x_rev = tab.j_inv(1.0 - tab.j(x))
     col = (-1,) + (1,) * x_rev.ndim
     root = np.sqrt(d_c - 1).reshape(col)
     i_cv = (frac.reshape(col) * (1.0 - tab.j(root * x_rev))).sum(axis=0)
     # j_inv clamps to [0, J's largest tabled value], inside [0, 1]
     return tab.j_inv(i_cv) ** 2 / 2.0
+
+
+@functools.cache
+def _check_table(d_c, frac) -> _Pchip:
+    """The check-node update of one profile (d_c and frac as tuples) as a
+    spline from x = sqrt(2 mu_vc) in [0, _X_MAX] to mu_cv, through
+    _composed_check_update at the J table's knots; built on first use."""
+    x = _tables().knots
+    return _Pchip(x, _composed_check_update(x, np.array(d_c),
+                                            np.array(frac)))
+
+
+def l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
+    """One Gaussian-approximation LDPC DE step: mean of check-to-variable LLR.
+
+    Variable-to-check mean is mu_channel + (d_v - 1) * mu_c2v_prev, floored
+    at 0; the check update averaged over the edge-perspective check-degree
+    profile, check_degree_profile's (d_c, fraction) pair, is one lookup in
+    that profile's _check_table.
+    """
+    d_c, frac = dc_profile
+    mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
+                       + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
+                       0.0)
+    table = _check_table(tuple(d_c.tolist()), tuple(frac.tolist()))
+    return table(np.minimum(np.sqrt(2.0 * mu_vc), _X_MAX))
 
 
 def de_interference_variance(gains, count, mean_degree, om, xi_h):

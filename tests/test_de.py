@@ -10,6 +10,7 @@ import pytest
 from gfrma import config as C
 from gfrma import de
 
+import numerics
 import oracles as O
 
 
@@ -176,6 +177,41 @@ def test_l2_degree_two_identity():
         i_in = de.j_function(math.sqrt(2 * mu))
         i_out = de.j_function(math.sqrt(2 * out))
         assert i_out == pytest.approx(i_in, abs=1e-4)
+
+
+def composed_l2(mu_channel, d_v, dc_profile, mu_c2v_prev):
+    """l2 through de._composed_check_update instead of the profile's
+    spline: the update as the DE computed it before it was tabulated."""
+    mu_vc = np.maximum(np.asarray(mu_channel, dtype=float)
+                       + (d_v - 1) * np.asarray(mu_c2v_prev, dtype=float),
+                       0.0)
+    return de._composed_check_update(
+        np.minimum(np.sqrt(2.0 * mu_vc), de._X_MAX), *dc_profile)
+
+
+@pytest.mark.parametrize("prof", [
+    de.check_degree_profile(400, 240, 3),        # DESK and PAPER: (7, 8)
+    (np.array([2]), np.array([1.0])),
+], ids=["7-8", "2"])
+def test_check_table_matches_composed_update(prof):
+    # the tabled check update against the composed J/J^-1 form it is built
+    # from, as MI, on 600 001 points of x = sqrt(2 mu_vc) in [0, 60]: at
+    # most 1e-7 (measured 2.8e-8 for (7, 8), 4.2e-8 for degree 2). Below
+    # x = 0.1 (MI < 2e-3) a degree-2 check differs by up to 3.7e-6
+    # (measured), bounded at 5e-6: there the composed form strays from the
+    # quadrature J by up to 1.4e-6 between knots, as the J table itself
+    # does by 1.3e-6, so the gap is the J table's resolution
+    x = np.linspace(0.0, 60.0, 600_001)
+    mu = x * x / 2.0
+    j = de._tables().j
+    gap = np.abs(j(np.sqrt(2.0 * de.l2(mu, 1, prof, 0.0)))
+                 - j(np.sqrt(2.0 * composed_l2(mu, 1, prof, 0.0))))
+    low = x < 0.1
+    assert gap[~low].max() < 1e-7
+    assert gap[low].max() < 5e-6
+    # one spline per profile, built once and shared
+    key = tuple(prof[0].tolist()), tuple(prof[1].tolist())
+    assert de._check_table(*key) is de._check_table(*key)
 
 
 def test_interference_variance_cases():
@@ -625,24 +661,71 @@ def _trace_digest(trace):
 _DESK = desk_cfg()
 _PAPER = desk_cfg(K=100, m=240)
 
+# the kernels every golden digest in tests/ was recorded with: the numerics
+# fingerprint of tests/numerics.py and the numpy version. numpy 2.4.6 with
+# SIMD found X86_V3 X86_V4 AVX512_ICL AVX512_SPR reads 594736f351d102d4;
+# at X86_V3 alone (NPY_ENABLE_CPU_FEATURES="X86_V3") it reads
+# 1f9ffc6f58ecf6f4, and the digests do not hold
+NUMERICS_FINGERPRINT = "594736f351d102d4"
+NUMERICS_NUMPY = "2.4.6"
 
-@pytest.mark.parametrize("cfg,gains,gdb,digest", [
-    (_DESK, np.ones(3), -8.5, "06d341dad43c3d37"),
-    (_DESK, np.ones(3), -7.0, "1936c5cb25c66e21"),
-    (_DESK, np.ones(3), 2.0, "3102a3ba0d85c2b7"),
-    (_PAPER, np.ones(10), 0.0, "3ef67ea1f0039b37"),
-    (_PAPER, np.ones(10), 1.0, "3e978269c96e81fa"),
-    (_PAPER, np.ones(10), 6.0, "6b8198aa36475429"),
-    (_DESK, np.array([1.0, 0.8, 1.0, 1.0, 0.8]), 0.0, "d303bff810c44b4c"),
-], ids=["desk-8.5", "desk-7", "desk+2", "paper0", "paper+1", "paper+6",
-        "mixed0"])
+_GOLDEN_POINTS = [
+    (_DESK, np.ones(3), -8.5, "1ee4bc1261863de3"),
+    (_DESK, np.ones(3), -7.0, "55360da8d7bc59a5"),
+    (_DESK, np.ones(3), 2.0, "cebd1c0cdc5ced85"),
+    (_PAPER, np.ones(10), 0.0, "b49124579b632d1a"),
+    (_PAPER, np.ones(10), 1.0, "20761853dafcd17c"),
+    (_PAPER, np.ones(10), 6.0, "17780ff0ef8030a9"),
+    (_DESK, np.array([1.0, 0.8, 1.0, 1.0, 0.8]), 0.0, "963c1e7661aae285"),
+]
+_GOLDEN_IDS = ["desk-8.5", "desk-7", "desk+2", "paper0", "paper+1",
+               "paper+6", "mixed0"]
+
+
+def test_numerics_fingerprint():
+    # other kernels fail here, naming what they are, before the digests
+    # below fail without saying why
+    assert numerics.fingerprint() == NUMERICS_FINGERPRINT, (
+        f"{numerics.describe()}; the golden digests hold the bits of "
+        f"fingerprint {NUMERICS_FINGERPRINT} with numpy {NUMERICS_NUMPY}")
+
+
+@pytest.mark.parametrize("cfg,gains,gdb,digest", _GOLDEN_POINTS,
+                         ids=_GOLDEN_IDS)
 def test_run_de_golden_digest(cfg, gains, gdb, digest):
     # every snapshot's bytes; a change to the DE arithmetic, its evaluation
-    # order or its stop rule moves them (recorded with numpy 2.4 / scipy 1.17)
+    # order or its stop rule moves them (recorded with the kernels of
+    # NUMERICS_FINGERPRINT and scipy 1.17)
     cfg_w = cfg.with_noise_variance(
         C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), gains))
     trace = list(de.states(cfg_w, gains))
     assert _trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize("cfg,gains,gdb,digest", _GOLDEN_POINTS,
+                         ids=_GOLDEN_IDS)
+def test_check_table_keeps_the_composed_trajectory(cfg, gains, gdb, digest,
+                                                   monkeypatch):
+    # the tabled check update takes the DE through as many states as the
+    # composed form did, with MI within 1e-6 (measured 1.8e-8)
+    cfg_w = cfg.with_noise_variance(
+        C.noise_variance_for_snr(cfg, C.db_to_linear(gdb), gains))
+    tabled = list(de.states(cfg_w, gains))
+    monkeypatch.setattr(de, "l2", composed_l2)
+    composed = list(de.states(cfg_w, gains))
+    assert len(tabled) == len(composed)
+    assert max(np.abs(a.mi - b.mi).max()
+               for a, b in zip(tabled, composed)) <= 1e-6
+
+
+@pytest.mark.parametrize("cfg,gains,threshold_db", [
+    (_DESK, np.ones(3), -7.755126953125),
+    (_PAPER, np.ones(10), 1.019287109375),
+], ids=["desk", "paper"])
+def test_threshold_fine_tolerance_pinned(cfg, gains, threshold_db):
+    # the composed check update's bisection results at tol_db = 0.01, which
+    # the tabled one reaches too
+    assert de.threshold_search(cfg, gains, tol_db=0.01) == threshold_db
 
 
 @pytest.mark.parametrize("cfg,gains,gdb", [
@@ -676,7 +759,7 @@ def test_mi_step_golden_digest():
                     xi_h=np.array([0.5, 0.05, 1e-4, 0.2]),
                     mu_c2v=np.array([0.2, 2.0, 9.0, 1.0]), xi_s=0.4)
     got = de.mi_step(st, cfg, np.ones(4))
-    assert _trace_digest([got]) == "af02520312cb9a2e"
+    assert _trace_digest([got]) == "a8fac5d2a22ecdbf"
 
 
 def test_de_trace_csv_golden_digest(tmp_path):
@@ -684,4 +767,4 @@ def test_de_trace_csv_golden_digest(tmp_path):
     de.write_de_trace(_DESK, np.ones(3), [-8.5, -4.0], out,
                       threshold_db=-7.7587890625)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
-    assert digest == "35054e78ead1eff3"
+    assert digest == "e44593fc53ddb932"

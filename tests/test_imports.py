@@ -194,3 +194,16 @@ def test_sweep_loads_no_module_late():
         "print(*sorted(set(sys.modules) - before))\n"
     )
     assert run_fresh(code).split() == []
+
+
+def test_sweep_builds_no_de_table():
+    # the DE's spline tables, the check update's included, are built on
+    # first use, so a sweep that imports gfrma.de builds none of them
+    code = (
+        "from gfrma import de, harness\n"
+        "harness.monte_carlo(harness.ExperimentSpec(\n"
+        "    harness.DESK_CONFIG, (-5.0,), trials=1))\n"
+        "print(de._tables.cache_info().currsize,\n"
+        "      de._check_table.cache_info().currsize)\n"
+    )
+    assert run_fresh(code).split() == ["0", "0"]
