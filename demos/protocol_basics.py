@@ -12,7 +12,7 @@ print("system:", cfg.K, "users, p_a =", cfg.p_a, "->", cfg.n_active,
       "active per cycle")
 print("packet:", cfg.m, "info bits ->", cfg.N, "coded symbols (rate",
       cfg.code_rate, ")")
-print("block:", cfg.T, "resource elements, degree pmf", cfg.racf.probs)
+print("block:", cfg.T, "resource elements, degree pmf", cfg.racf)
 print("throughput: %.3f bits per RE" % C.throughput(cfg))
 ed = C.racf_mean_degree(cfg.racf)
 print("mean degree E[d] = %.3f -> %.0f edges per user over the block"

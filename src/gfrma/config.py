@@ -17,7 +17,7 @@ class ConfigError(ValueError):
     """Raised when a configuration violates an invariant."""
 
 
-# The largest |gain| and |prior.mean| validate_config accepts. Squared and
+# The largest |gain| and |prior_mean| validate_config accepts. Squared and
 # scaled by T * E[d] in the receiver and DE, larger amplitudes overflow
 # float64 (gains of 1e153 already do in DE at DESK_CONFIG).
 MAX_AMPLITUDE = 1e100
@@ -30,42 +30,10 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-@dataclass(frozen=True)
-class Racf:
-    """Random access control function: probs[d] = P(per-RE degree = d).
-
-    probs covers d = 0 .. d_max; must sum to 1.
-    """
-
-    probs: tuple
-
-    @property
-    def d_max(self):
-        return len(self.probs) - 1
-
-    @classmethod
-    def from_dict(cls, mapping):
-        """Build from {degree: probability}; unlisted degrees get 0."""
-        if min(mapping) < 0:
-            raise ConfigError(f"RACf degree {min(mapping)} is negative")
-        d_max = max(mapping)
-        probs = [0.0] * (d_max + 1)
-        for d, p in mapping.items():
-            probs[int(d)] = float(p)
-        return cls(tuple(probs))
-
-
-# Default: the rate-controlling distribution used throughout the experiments.
-# Coefficients at d=1 and d=2 with the remaining mass at d=0.
-DEFAULT_RACF = Racf((0.90, 0.06, 0.04))
-
-
-@dataclass(frozen=True)
-class ChannelPrior:
-    """Initial (mean, variance) of a user's channel amplitude at the receiver."""
-
-    mean: float = 1.0
-    var: float = 10.0
+# Default RACf (random access control function), racf[d] = P(per-RE
+# degree = d): the rate-controlling distribution used throughout the
+# experiments, with mass at d=1 and d=2 and the rest at d=0.
+DEFAULT_RACF = (0.90, 0.06, 0.04)
 
 
 @dataclass(frozen=True)
@@ -75,8 +43,9 @@ class SystemConfig:
     m: int = 120                     # info bits per packet
     code_rate: float = 0.6
     T: int = 1920                    # resource elements per access block
-    racf: Racf = DEFAULT_RACF
-    prior: ChannelPrior = ChannelPrior()
+    racf: tuple = DEFAULT_RACF       # P(per-RE degree = d), d = 0 .. d_max
+    prior_mean: float = 1.0          # channel-amplitude prior at the receiver
+    prior_var: float = 10.0
     gains: tuple | None = None       # true per-user amplitudes; None = all 1.0
     noise_variance: float = 0.1
     system_seed: int = 1
@@ -169,12 +138,14 @@ def _probs_ok(p):
         return False
     s = np.asarray(p, dtype=float).sum()
     if abs(s - 1.0) > 1e-12:
-        raise ConfigError(f"racf.probs sums to {s:.12g}, expected 1")
+        raise ConfigError(f"racf sums to {s:.12g}, expected 1")
     return True
 
 
 def _parse_probs(raw):
-    """`degree:probability` pairs, as in `0:0.90,1:0.06,2:0.04`."""
+    """`degree:probability` pairs, as in `0:0.90,1:0.06,2:0.04`, as the
+    tuple of P(degree = d) for d = 0 .. the largest degree given; a degree
+    not given gets 0."""
     pairs = {}
     for item in raw.split(","):
         d, colon, p = item.partition(":")
@@ -182,10 +153,12 @@ def _parse_probs(raw):
             raise ConfigError(f"expected `degree:probability`, got "
                               f"{item.strip()!r}")
         d = int(d)
+        if d < 0:
+            raise ConfigError(f"RACf degree {d} is negative")
         if d in pairs:
             raise ConfigError(f"RACf degree {d} is given twice")
         pairs[d] = float(p)
-    return Racf.from_dict(pairs).probs
+    return tuple(pairs.get(d, 0.0) for d in range(max(pairs) + 1))
 
 
 def _gains_ok(g):
@@ -209,18 +182,18 @@ def validate_gains(gains):
     return np.asarray(gains, dtype=float)
 
 
-# Each field's kind and bounds, keyed by the name its messages give it; a
-# dotted name is a field of SystemConfig's Racf or ChannelPrior.
+# Each SystemConfig field's kind and bounds, keyed by its name, which is
+# also its config-file key and the name its messages give it.
 FIELDS = {
     "K": integer(1),
     "p_a": real(0, 1, "(]"),
     "m": integer(1),
     "code_rate": real(0, 1),
     "T": integer(1),
-    "racf.probs": Kind("a tuple of two or more finite real numbers >= 0 "
-                       "that sum to 1", _probs_ok, _parse_probs),
-    "prior.mean": real(-MAX_AMPLITUDE, MAX_AMPLITUDE, "[]"),
-    "prior.var": real(0, math.inf),
+    "racf": Kind("a tuple of two or more finite real numbers >= 0 "
+                 "that sum to 1", _probs_ok, _parse_probs),
+    "prior_mean": real(-MAX_AMPLITUDE, MAX_AMPLITUDE, "[]"),
+    "prior_var": real(0, math.inf),
     "gains": Kind("None or " + GAINS.doc, lambda v: v is None or GAINS.ok(v),
                   GAINS.parse),
     "noise_variance": real(0, math.inf),
@@ -231,31 +204,17 @@ FIELDS = {
     "activity_mode": choice("fixed", "bernoulli"),
 }
 
-# config-file key -> FIELDS name: a dotted name's parts joined by "_"
-# (prior_mean), but the RACf's one field takes the RACf's name
-FILE_KEYS = {"racf" if name == "racf.probs" else name.replace(".", "_"): name
-             for name in FIELDS}
-
-
-def _get(cfg, name):
-    """cfg's value of a FIELDS name: cfg.prior.mean for prior.mean."""
-    head, _, attr = name.partition(".")
-    v = getattr(cfg, head)
-    if attr and not hasattr(v, attr):       # a plain tuple as racf
-        raise ConfigError(f"{head} {v!r} has no field {attr}")
-    return getattr(v, attr) if attr else v
-
-
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every field against FIELDS, then the invariants that join
     fields; returns cfg unchanged if valid."""
     for name, kind in FIELDS.items():
-        kind.check(name, _get(cfg, name))
+        kind.check(name, getattr(cfg, name))
     n_exact = cfg.m / cfg.code_rate
     if abs(n_exact - round(n_exact)) > 1e-9:
         raise ConfigError(f"N non-integer: m/code_rate = {n_exact:.6g}")
-    if cfg.racf.d_max > cfg.N:
-        raise ConfigError(f"RACf d_max = {cfg.racf.d_max} exceeds N = {cfg.N}")
+    d_max = len(cfg.racf) - 1
+    if d_max > cfg.N:
+        raise ConfigError(f"RACf d_max = {d_max} exceeds N = {cfg.N}")
     if cfg.d_v > cfg.N - cfg.m:
         raise ConfigError(f"d_v = {cfg.d_v} exceeds the N - m = "
                           f"{cfg.N - cfg.m} parity checks")
@@ -265,9 +224,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return cfg
 
 
-def racf_mean_degree(racf: Racf) -> float:
-    """E[d] = sum_d d * p_d."""
-    p = np.asarray(racf.probs, dtype=float)
+def racf_mean_degree(racf) -> float:
+    """E[d] = sum_d d * racf[d]."""
+    p = np.asarray(racf, dtype=float)
     return float(np.dot(np.arange(len(p)), p))
 
 
@@ -318,9 +277,9 @@ def noise_variance_for_snr(cfg: SystemConfig, gamma: float, active_gains) -> flo
 def read_config_file(path) -> SystemConfig:
     """Read a flat `key = value` config file (# starts a comment).
 
-    The keys are FILE_KEYS, each given once: SystemConfig's fields, with
-    the prior as prior_mean / prior_var and the RACf as
-    `racf = 0:0.90,1:0.06,2:0.04`. A field not given keeps its default.
+    The keys are the FIELDS keys, SystemConfig's field names, each given
+    once; the RACf reads `racf = 0:0.90,1:0.06,2:0.04`. A field not given
+    keeps its default.
     """
     values, unknown = {}, set()
     with open(path) as f:
@@ -332,23 +291,15 @@ def read_config_file(path) -> SystemConfig:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`")
             key, raw = line.split("=", 1)
             key = key.strip()
-            name = FILE_KEYS.get(key)
-            if name is None:
+            if key not in FIELDS:
                 unknown.add(key)
-            elif name in values:
+            elif key in values:
                 raise ConfigError(f"{path}:{lineno}: {key}: given twice")
             else:
                 try:
-                    values[name] = FIELDS[name].parse(raw.strip())
+                    values[key] = FIELDS[key].parse(raw.strip())
                 except ValueError as e:
                     raise ConfigError(f"{path}:{lineno}: {key}: {e}") from None
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    fields = {}
-    for name, v in values.items():
-        head, _, attr = name.partition(".")
-        if attr:
-            v = dataclasses.replace(
-                fields.get(head, getattr(SystemConfig, head)), **{attr: v})
-        fields[head] = v
-    return validate_config(SystemConfig(**fields))
+    return validate_config(SystemConfig(**values))

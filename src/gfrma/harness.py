@@ -142,7 +142,13 @@ def _point_result(snr_db, records, m):
         wilson_halfwidth(block_err, n_active))
 
 
-# per worker process: the (pc, graph, mode) shared by every point of a sweep
+def _trial(cfg, trial_index, pc, graph, mode):
+    return trial_stats(cfg, *run_trial(cfg, pc, graph, trial_index, mode))
+
+
+# per worker process: the (pc, graph, mode) shared by every point of a
+# sweep; set only by a pool's initializer, so a serial sweep holds no
+# graph after it returns
 _POOL_STATE = {}
 
 
@@ -151,8 +157,7 @@ def _pool_init(pc, graph, mode):
 
 
 def _pool_trial(cfg, trial_index):
-    pc, graph, mode = _POOL_STATE["args"]
-    return trial_stats(cfg, *run_trial(cfg, pc, graph, trial_index, mode))
+    return _trial(cfg, trial_index, *_POOL_STATE["args"])
 
 
 def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
@@ -175,8 +180,7 @@ def monte_carlo(spec: ExperimentSpec) -> ExperimentResult:
                                   (pc, graph, spec.mode)) as pool:
             rows = pool.starmap(_pool_trial, tasks)
     else:
-        _pool_init(pc, graph, spec.mode)
-        rows = [_pool_trial(*task) for task in tasks]
+        rows = [_trial(*task, pc, graph, spec.mode) for task in tasks]
     # one (points, trials) record array in trial order, reduced per point
     records = np.stack(rows).reshape(len(spec.snr_db_grid), spec.trials)
     return ExperimentResult([_point_result(snr_db, row, base.m) for snr_db, row

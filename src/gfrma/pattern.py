@@ -64,8 +64,8 @@ def derive_draw(system_seed, user, re, racf, N) -> PatternDraw:
     stream = mix(system_seed, user, re)
     u = _u01(stream, 0)
     acc = 0.0
-    degree = racf.d_max
-    for d, p in enumerate(racf.probs):
+    degree = len(racf) - 1
+    for d, p in enumerate(racf):
         acc += p
         if u < acc:
             degree = d
@@ -164,12 +164,12 @@ def _draw_block(seed_hash, users, T, racf, N):
         (h_user[:, None] ^ np.arange(T, dtype=np.uint64)[None, :]).ravel())
     # first d with u < acc, acc the running sum of probs, as in derive_draw;
     # a draw with u < acc[0] has degree 0, so only the others are searched
-    acc = np.cumsum(racf.probs)
+    acc = np.cumsum(racf)
     u = _u01_array(stream, 0)
     rows = np.flatnonzero(u >= acc[0])
     stream, u = stream[rows], u[rows]
     degree = np.minimum(np.searchsorted(acc, u, side="right"),
-                        min(racf.d_max, N))
+                        min(len(racf) - 1, N))
     # partial Fisher-Yates, round i over the rows still drawing; the
     # replacement dict is a key and a value column per round, and a later
     # write to a key shadows the earlier ones

@@ -72,15 +72,14 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
     e_sym = graph.edge_live_sym
     n_live = len(live)
     xi_w = cfg.noise_variance
-    prior = cfg.prior
 
     if known_active is None:
         q = np.full(cfg.K, cfg.p_a)
     else:
         q = np.where(known_active, 1.0 - Q_FLOOR, Q_FLOOR)
     if known_gains is None:
-        mu_h = np.full(cfg.K, prior.mean)
-        xi_h = np.full(cfg.K, prior.var)
+        mu_h = np.full(cfg.K, cfg.prior_mean)
+        xi_h = np.full(cfg.K, cfg.prior_var)
     else:
         mu_h = np.array(known_gains, dtype=float)   # a copy, not aliased
         xi_h = np.full(cfg.K, KNOWN_GAIN_VAR)
@@ -146,16 +145,16 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
             wm /= denom
             WM = np.bincount(e_user, weights=wm, minlength=cfg.K)
             del wm, denom
-            prec = W + 1.0 / prior.var
-            mu_h = (WM + prior.mean / prior.var) / prec
+            prec = W + 1.0 / cfg.prior_var
+            mu_h = (WM + cfg.prior_mean / cfg.prior_var) / prec
             xi_h = 1.0 / prec
         del resid, xi_i
 
         # (5) activity posteriors
         # users with no edges have no evidence and keep the prior activity
         if known_active is None:
-            q_new = _activity_posterior_vec(mu_h, xi_h, prior.mean,
-                                            prior.var, cfg.p_a)
+            q_new = _activity_posterior_vec(mu_h, xi_h, cfg.prior_mean,
+                                            cfg.prior_var, cfg.p_a)
             q = np.where(graph.has_edges, q_new, q)
         yield Iteration(n, q, mu_h, xi_h, total, live)
 

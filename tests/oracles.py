@@ -9,7 +9,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from gfrma.de import j_inverse
+from gfrma import de
+from gfrma.config import racf_mean_degree
 from gfrma.ldpc import _TANH_CLAMP, LLR_CLAMP
 from gfrma.receiver import Q_FLOOR
 
@@ -118,7 +119,7 @@ def omega(mi):
     mi = float(mi)
     if mi <= 0.0:
         return 0.0
-    s = j_inverse(mi)
+    s = de.j_inverse(mi)
 
     def integrand(u):
         return (math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
@@ -127,3 +128,22 @@ def omega(mi):
     val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-10,
                             limit=200)
     return val
+
+
+def mi_step_monte_carlo(state, cfg, gains, rng, n):
+    """de.mi_step's MI update by sampling, row by row: J averaged over n
+    draws of the gain estimate from the half-Gaussian below the true gain
+    (mu <= h, a reflected |normal|). Returns each row's sample mean and
+    its standard error."""
+    ed = racf_mean_degree(cfg.racf)
+    prof = de.check_degree_profile(cfg.N, cfg.m, cfg.d_v)
+    mean, sem = np.empty(len(gains)), np.empty(len(gains))
+    for k, h in enumerate(gains):
+        mu = h - np.abs(rng.normal(0, math.sqrt(state.xi_h[k]), n))
+        xi_total = state.xi_s + state.xi_h[k] + cfg.noise_variance
+        mu_l = np.maximum(de.l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
+        mu_cv = de.l2(mu_l, cfg.d_v, prof, state.mu_c2v[k])
+        vals = de._tables().j(np.sqrt(2 * np.maximum(
+            mu_l + cfg.d_v * mu_cv, 0.0)))
+        mean[k], sem[k] = vals.mean(), vals.std() / math.sqrt(n)
+    return mean, sem

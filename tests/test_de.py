@@ -254,7 +254,7 @@ def test_mi_step_zero_signal():
 
 
 def test_mi_step_degenerate_channel_limit():
-    cfg = desk_cfg(noise_variance=0.05, prior=C.ChannelPrior(1.0, 10.0))
+    cfg = desk_cfg(noise_variance=0.05, prior_mean=1.0, prior_var=10.0)
     g = np.ones(3)
     st = de.initial_de_state(cfg, g)
     st = dataclasses.replace(st, xi_h=np.zeros(3))
@@ -274,20 +274,9 @@ def test_mi_step_matches_truncated_monte_carlo():
     st = de.DeState(mi=np.array([0.3, 0.5]), xi_h=np.array([0.2, 0.05]),
                     mu_c2v=np.array([0.4, 0.9]), xi_s=0.6)
     nxt = de.mi_step(st, cfg, g)
-    rng = np.random.default_rng(7)
-    ed = C.racf_mean_degree(cfg.racf)
-    prof = de.check_degree_profile(cfg.N, cfg.m, cfg.d_v)
-    n = 200000
-    for k, h in enumerate(g):
-        # half-Gaussian below h == reflected |normal|
-        mu = h - np.abs(rng.normal(0, math.sqrt(st.xi_h[k]), n))
-        xi_total = st.xi_s + st.xi_h[k] + cfg.noise_variance
-        mu_l = np.maximum(de.l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
-        mu_cv = de.l2(mu_l, cfg.d_v, prof, st.mu_c2v[k])
-        vals = de._tables().j(np.sqrt(2 * np.maximum(
-            mu_l + cfg.d_v * mu_cv, 0.0)))
-        sem = vals.std() / math.sqrt(n)
-        assert abs(nxt.mi[k] - vals.mean()) < 3 * sem + 1e-6
+    mean, sem = O.mi_step_monte_carlo(st, cfg, g, np.random.default_rng(7),
+                                      200000)
+    assert np.all(np.abs(nxt.mi - mean) < 3 * sem + 1e-6)
 
 
 def test_mi_step_monotone_dominance():
@@ -348,7 +337,7 @@ def _mi_step_per_user(state, cfg, active_gains):
     om = de._tables().omega(mi_new)
     xi_s_new = de.de_interference_variance(g, 1.0, ed, om, state.xi_h)
     xi_h_new = de.de_channel_variance(cfg.T * ed, om, xi_s_new, xi_w,
-                                      cfg.prior.var)
+                                      cfg.prior_var)
     return de.DeState(mi_new, xi_h_new, mu_c2v_new, xi_s_new,
                       state.iteration + 1)
 
@@ -584,7 +573,7 @@ def test_single_user_threshold_vs_standalone_ldpc_de():
     # independent standalone code-threshold oracle built on Gauss-Hermite
     # quadrature; the large T makes residual self-interference negligible
     cfg = C.SystemConfig(K=1, p_a=1.0, m=240, code_rate=0.6, T=256000,
-                         prior=C.ChannelPrior(1.0, 1e-9))
+                         prior_mean=1.0, prior_var=1e-9)
     ed = C.racf_mean_degree(cfg.racf)
     lam = cfg.T * ed / cfg.N
     prof = de.check_degree_profile(cfg.N, cfg.m, cfg.d_v)

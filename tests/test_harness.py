@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import multiprocessing
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -307,6 +309,22 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert len(lines) == 2 + len(spec.snr_db_grid)   # header + rows + EOF
     assert "\r" not in text
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_serial_sweep_holds_no_graph_after_it_returns(monkeypatch):
+    # the serial path kept (pc, graph, mode) in module state until the
+    # next sweep; only a pool's initializer may set it
+    refs = []
+
+    def build(cfg):
+        graph = P.build_access_graph(cfg)
+        refs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(H, "build_access_graph", build)
+    H.monte_carlo(small_spec(trials=1, snr_db_grid=(0.0,)))
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_workers_do_not_change_results(tmp_path):

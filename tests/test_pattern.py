@@ -8,7 +8,7 @@ from gfrma import pattern as P
 
 
 def test_degenerate_racf_empty_draw():
-    racf = C.Racf((1.0,))
+    racf = (1.0,)
     for k, t in [(0, 0), (3, 17), (99, 6399)]:
         d = P.derive_draw(42, k, t, racf, 400)
         assert d.degree == 0 and d.symbols == ()
@@ -22,7 +22,7 @@ def test_draw_is_pure():
 
 
 def test_draw_subset_valid():
-    racf = C.Racf((0.0, 0.0, 0.0, 0.0, 1.0))   # always degree 4
+    racf = (0.0, 0.0, 0.0, 0.0, 1.0)   # always degree 4
     for t in range(200):
         d = P.derive_draw(3, 1, t, racf, 10)
         assert d.degree == 4
@@ -49,7 +49,7 @@ def test_subset_uniformity():
     n = 20000
     g = P.build_access_graph(small_cfg(K=1, T=n, system_seed=5, m=4,
                                        code_rate=0.5,
-                                       racf=C.Racf((0.0, 1.0))))
+                                       racf=(0.0, 1.0)))
     assert g.N == N and g.n_edges == n
     counts = np.bincount(g.edge_sym, minlength=N)
     expected = n / N
@@ -63,7 +63,7 @@ def small_cfg(**kw):
 
 
 def test_single_edge_graph():
-    cfg = small_cfg(K=1, T=1, racf=C.Racf((0.0, 1.0)), m=3, code_rate=0.75)
+    cfg = small_cfg(K=1, T=1, racf=(0.0, 1.0), m=3, code_rate=0.75)
     g = P.build_access_graph(cfg)
     assert g.n_edges == 1
     assert g.edge_user.tolist() == [0] and g.edge_re.tolist() == [0]
@@ -72,7 +72,7 @@ def test_single_edge_graph():
 
 
 def test_empty_graph():
-    cfg = small_cfg(racf=C.Racf((1.0,)))
+    cfg = small_cfg(racf=(1.0,))
     g = P.build_access_graph(cfg)
     assert g.n_edges == 0
 
@@ -124,8 +124,8 @@ def test_expected_edges_per_user():
         return cfg.T * C.racf_mean_degree(cfg.racf)
 
     assert per_user(small_cfg(T=6400)) == pytest.approx(896.0)
-    assert per_user(small_cfg(racf=C.Racf((1.0,)))) == 0.0
-    assert per_user(small_cfg(T=1, racf=C.Racf((0.0, 1.0)))) == 1.0
+    assert per_user(small_cfg(racf=(1.0,))) == 0.0
+    assert per_user(small_cfg(T=1, racf=(0.0, 1.0))) == 1.0
 
 
 def test_re_occupancy_distribution():
@@ -136,7 +136,7 @@ def test_re_occupancy_distribution():
     occ = np.bincount(g.edge_re, minlength=cfg.T)
     pmf = np.array([1.0])
     for _ in range(cfg.K):
-        pmf = np.convolve(pmf, np.asarray(cfg.racf.probs))
+        pmf = np.convolve(pmf, np.asarray(cfg.racf))
     counts = np.bincount(occ, minlength=len(pmf))[:len(pmf)]
     expected = pmf * cfg.T
     # merge the tail so all expected bins are >= 5
@@ -180,22 +180,22 @@ def _scalar_graph(cfg):
 
 @pytest.mark.parametrize("cfg", [
     # d_max = 4 over N = 5: Fisher-Yates swaps collide
-    small_cfg(K=7, m=3, T=300, racf=C.Racf((0.2, 0.1, 0.1, 0.2, 0.4))),
+    small_cfg(K=7, m=3, T=300, racf=(0.2, 0.1, 0.1, 0.2, 0.4)),
     # 65536 // 3000 = 21 users per block: K = 47 leaves a short last block
     small_cfg(K=47, T=3000),
     # T > 32768: every block holds a single user
-    small_cfg(K=3, m=3, T=40000, racf=C.Racf((0.5, 0.2, 0.3))),
+    small_cfg(K=3, m=3, T=40000, racf=(0.5, 0.2, 0.3)),
     # seeds outside [0, 2^64) wrap as in mix()
     small_cfg(K=4, T=700, system_seed=-5),
     small_cfg(K=4, T=700, system_seed=2**64 + 13),
     # probs[0] == 0: every RE is drawn
-    small_cfg(K=4, T=300, racf=C.Racf((0.0, 0.7, 0.3))),
-    small_cfg(K=3, m=3, T=300, racf=C.Racf((0.0, 0.0, 0.5, 0.5))),
+    small_cfg(K=4, T=300, racf=(0.0, 0.7, 0.3)),
+    small_cfg(K=3, m=3, T=300, racf=(0.0, 0.0, 0.5, 0.5)),
     # a valid RACf whose cumsum ends at 1 - 2^-53
-    small_cfg(K=4, T=700, racf=C.Racf((0.7, 0.2, 0.1))),
+    small_cfg(K=4, T=700, racf=(0.7, 0.2, 0.1)),
     # cumsum ends at 0.95 (not a valid RACf): the draws past it take d_max,
     # as derive_draw's fallback does
-    small_cfg(K=4, T=700, racf=C.Racf((0.5, 0.25, 0.2))),
+    small_cfg(K=4, T=700, racf=(0.5, 0.25, 0.2)),
 ], ids=["collisions", "partial-block", "one-user-blocks", "negative-seed",
         "wide-seed", "no-degree-0", "min-degree-2", "cumsum-below-1",
         "cumsum-short"])

@@ -220,11 +220,11 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
     moments = []
     for e in range(graph.n_edges):
         t = graph.edge_re[e]
-        contribs = [(cfg.p_a, cfg.prior.mean, cfg.prior.var, 0.0)
+        contribs = [(cfg.p_a, cfg.prior_mean, cfg.prior_var, 0.0)
                     for e2 in np.flatnonzero(graph.edge_re == t) if e2 != e]
         mu_i, xi_i = O.interference_moments(contribs)
         moments.append((mu_i, xi_i))
-        r2v[e] = O.ren_to_vn(cfg.prior.mean, cfg.prior.var, y[t], mu_i,
+        r2v[e] = O.ren_to_vn(cfg.prior_mean, cfg.prior_var, y[t], mu_i,
                              xi_i, cfg.noise_variance)
 
     # the LDPC step's channel LLRs: per live user and symbol, the sum of
@@ -251,17 +251,17 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
             mu_i, xi_i = moments[e]
             pairs.append(O.channel_edge_estimate(
                 v2r[e], y[graph.edge_re[e]], mu_i, xi_i, cfg.noise_variance))
-        mu, xi = O.usn_combine(pairs, cfg.prior.mean, cfg.prior.var)
+        mu, xi = O.usn_combine(pairs, cfg.prior_mean, cfg.prior_var)
         assert out.mu_h[k] == pytest.approx(mu, abs=1e-9)
         assert out.xi_h[k] == pytest.approx(xi, abs=1e-9)
-        ref_q = O.activity_posterior(mu, xi, cfg.prior.mean, cfg.prior.var,
+        ref_q = O.activity_posterior(mu, xi, cfg.prior_mean, cfg.prior_var,
                                      cfg.p_a)
         assert out.q[k] == pytest.approx(ref_q, abs=1e-9)
 
 
 def test_single_user_genie_prior_decodes():
     cfg = tiny_cfg(K=1, p_a=1.0, T=400, noise_variance=1e-6,
-                   prior=C.ChannelPrior(1.0, 0.01), max_iterations=10)
+                   prior_mean=1.0, prior_var=0.01, max_iterations=10)
     pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v, 2)
     graph = P.build_access_graph(cfg)
     truth = phy.make_ground_truth(cfg, pc, 0)
@@ -318,7 +318,7 @@ def test_registration_mode_pins_activity(tiny):
 
 def test_empty_graph_keeps_prior_activity():
     # users with no edges have no evidence: q stays at p_a, none declared
-    cfg = tiny_cfg(racf=C.Racf((1.0, 0.0)))
+    cfg = tiny_cfg(racf=(1.0, 0.0))
     pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,
                                   cfg.system_seed)
     graph = P.build_access_graph(cfg)
