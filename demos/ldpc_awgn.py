@@ -9,7 +9,7 @@ from gfrma import ldpc
 
 pc = ldpc.construct_parity_check(m=240, code_rate=0.6, d_v=3, seed=7)
 print("code: n =", pc.n, " checks =", pc.n_checks,
-      " check degrees:", sorted(set(pc.layout.chk_deg.tolist())))
+      " check degrees:", [d for d, _, _ in pc.layout.classes])
 
 rng = np.random.default_rng(0)
 blocks = 80

@@ -125,10 +125,12 @@ class AccessGraph:
 
     @cached_property
     def edge_live_sym(self):
-        """Each edge's symbol in the stacked codewords of the users that
-        have edges: (rank of the user among them) * N + symbol."""
+        """Each edge's flat index into an (N, n_live) array that holds one
+        column per user with edges (n_live of them): symbol * n_live +
+        (rank of the user among them)."""
         rank = np.cumsum(self.has_edges) - 1
-        return rank[self.edge_user] * self.N + self.edge_sym
+        n_live = np.count_nonzero(self.has_edges)
+        return self.edge_sym * n_live + rank[self.edge_user]
 
 
 # draws generated per block of users in build_access_graph; bounds the

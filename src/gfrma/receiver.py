@@ -40,7 +40,9 @@ class TrialOutcome:
 
 
 # Beliefs after iteration n: q, mu_h, xi_h per user, total per live user
-# (one with edges). Later iterations rebind these arrays, never write them.
+# (one with edges), (n_live, N) as a transposed view of the flood's
+# (N, n_live) posteriors. Later iterations rebind these arrays, never write
+# them.
 Iteration = namedtuple("Iteration", "n q mu_h xi_h total live")
 
 
@@ -65,9 +67,11 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
     e_count = graph.user_edge_counts
     e_re = graph.edge_re
     y_e = y[e_re]
-    # The LDPC step runs on the live users, those with edges, only. A user
-    # with no edges has an all +0.0 channel LLR row, which ldpc.flood keeps
-    # at +0.0: its hard bits are the all-zero codeword, which passes.
+    # The LDPC step runs on the live users, those with edges, only, one
+    # column each: its arrays are (n, n_live) and (E, n_live), so that each
+    # check slot is one contiguous block. A user with no edges would have
+    # an all +0.0 channel LLR column, which ldpc.flood keeps at +0.0: its
+    # hard bits are the all-zero codeword, which passes.
     live = np.flatnonzero(graph.has_edges)
     e_sym = graph.edge_live_sym
     n_live = len(live)
@@ -84,8 +88,8 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
         mu_h = np.array(known_gains, dtype=float)   # a copy, not aliased
         xi_h = np.full(cfg.K, KNOWN_GAIN_VAR)
 
-    c2v = np.zeros((n_live, len(pc.layout.edge_var)))
-    c2v_sum = np.zeros((n_live, pc.n))
+    c2v = np.zeros((len(pc.layout.edge_var), n_live))
+    c2v_sum = np.zeros((pc.n, n_live))
     m_soft = np.zeros(graph.n_edges)      # tanh(v2r / 2) of v2r = 0
     for n in itertools.count(1):
         # Every per-edge array is updated in place or ended in its step, so
@@ -122,10 +126,10 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
         del denom
 
         # (3) one flooding LDPC iteration per live user, from the summed
-        # channel LLRs, which end with the flood
+        # channel LLRs, which end with the flood; total is (n, n_live)
         c2v, c2v_sum, total = ldpc.flood(
-            np.bincount(e_sym, weights=r2v, minlength=n_live * pc.n)
-            .reshape(n_live, pc.n), c2v, c2v_sum, pc)
+            np.bincount(e_sym, weights=r2v, minlength=pc.n * n_live)
+            .reshape(pc.n, n_live), c2v, c2v_sum, pc)
         # extrinsic symbol -> RE messages, in r2v's array
         v2r = np.subtract(total.reshape(-1)[e_sym], r2v, out=r2v)
         np.clip(v2r, -LLR_CLAMP, LLR_CLAMP, out=v2r)
@@ -156,7 +160,7 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
             q_new = _activity_posterior_vec(mu_h, xi_h, cfg.prior_mean,
                                             cfg.prior_var, cfg.p_a)
             q = np.where(graph.has_edges, q_new, q)
-        yield Iteration(n, q, mu_h, xi_h, total, live)
+        yield Iteration(n, q, mu_h, xi_h, total.T, live)
 
 
 def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,
@@ -175,10 +179,12 @@ def stop_rule(cfg: SystemConfig, pc: ldpc.ParityCheck, views) -> TrialOutcome:
     posterior LLR moved by more than STALL_TOL ("stalled"), else the last."""
     prev, converged = None, "max_iterations"
     for it in views:
-        hard = (it.total < 0).astype(np.uint8)
         declared = it.q > cfg.activity_threshold
+        # hard bits of the declared rows only; every live row's are formed
+        # once, at the view the rule stops at
         if (declared.any()
-                and ldpc.syndrome_ok(hard[declared[it.live]], pc).all()):
+                and ldpc.syndrome_ok(it.total[declared[it.live]] < 0,
+                                     pc).all()):
             converged = "all_declared_decoded"
             break
         if (prev is not None
@@ -188,7 +194,7 @@ def stop_rule(cfg: SystemConfig, pc: ldpc.ParityCheck, views) -> TrialOutcome:
             break
         prev = it
     bits = np.zeros((cfg.K, pc.m), dtype=np.uint8)
-    bits[it.live] = hard[:, :pc.m]
+    bits[it.live] = it.total[:, :pc.m] < 0
     return TrialOutcome(bits, declared, it.q, it.mu_h, it.xi_h, it.n,
                         converged)
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gfrma import harness as H
 from gfrma import ldpc as L
 
 import oracles as O
@@ -17,8 +18,7 @@ def pc400():
 def test_construction_shape(pc400):
     assert pc400.n == 400 and pc400.n_checks == 160
     assert sum(len(c) for c in pc400.chk_vars) == 1200
-    degs = np.bincount(pc400.layout.chk_deg)
-    assert degs[7] == 80 and degs[8] == 80
+    assert [c[:2] for c in pc400.layout.classes] == [(7, 80), (8, 80)]
     assert np.all(np.bincount(pc400.layout.edge_var, minlength=400) == 3)
 
 
@@ -113,37 +113,48 @@ def test_syndrome_batch_matches_rows(pc400):
 
 
 def _flood_iterations(pc, Lch, iterations=3):
-    """(c2v, total) after `iterations` floods from zero messages."""
-    c2v = np.zeros(Lch.shape[:-1] + (len(pc.layout.edge_var),))
+    """(c2v, total) after `iterations` floods from zero messages, for Lch
+    of shape (n, ...), the batch axes last."""
+    c2v = np.zeros((len(pc.layout.edge_var),) + Lch.shape[1:])
     c2v_sum = np.zeros(Lch.shape)
     for _ in range(iterations):
         c2v, c2v_sum, total = L.flood(Lch, c2v, c2v_sum, pc)
     return c2v, total
 
 
+def _assert_columns_flood_alone(pc, Lch):
+    """Each column of a batched flood equals its lone flood bit for bit."""
+    c2v_b, total_b = _flood_iterations(pc, Lch)
+    for k in range(Lch.shape[1]):
+        c2v_k, total_k = _flood_iterations(pc, Lch[:, k])
+        assert c2v_b[:, k].tobytes() == c2v_k.tobytes()
+        assert total_b[:, k].tobytes() == total_k.tobytes()
+
+
 def test_flood_batch_matches_rows(pc400):
     rng = np.random.default_rng(12)
-    Lch = rng.normal(0, 3, (2, pc400.n))
-    c2v_b, total_b = _flood_iterations(pc400, Lch)
-    for k in range(2):
-        c2v_k, total_k = _flood_iterations(pc400, Lch[k])
-        assert np.array_equal(c2v_b[k], c2v_k)
-        assert np.array_equal(total_b[k], total_k)
+    _assert_columns_flood_alone(pc400, rng.normal(0, 3, (pc400.n, 2)))
+    # batches of the PAPER code the size of one, a few and all of its
+    # users, with the exact zeros of symbols on no RE (about 11% there)
+    cfg = H.PAPER_CONFIG
+    pc = L.construct_parity_check(cfg.m, cfg.code_rate, cfg.d_v,
+                                  cfg.system_seed)
+    for rows in (1, 3, 100):
+        Lch = rng.normal(0, 3, (pc.n, rows))
+        Lch[rng.random(Lch.shape) < 0.11] = 0.0
+        _assert_columns_flood_alone(pc, Lch)
 
 
 def test_flood_keeps_zero_row_at_positive_zero(pc400):
     # the receiver floods only the users with edges: a user without edges
-    # has an Lch row of +0.0, which must stay +0.0 in every output
+    # has an Lch column of +0.0, which must stay +0.0 in every output
     rng = np.random.default_rng(13)
-    Lch = rng.normal(0, 3, (3, pc400.n))
-    Lch[1] = 0.0
+    Lch = rng.normal(0, 3, (pc400.n, 3))
+    Lch[:, 1] = 0.0
     c2v_b, total_b = _flood_iterations(pc400, Lch)
-    for out in (c2v_b[1], total_b[1]):
+    for out in (c2v_b[:, 1], total_b[:, 1]):
         assert np.all(out == 0.0) and not np.signbit(out).any()
-    for k in range(3):
-        c2v_k, total_k = _flood_iterations(pc400, Lch[k])
-        assert np.array_equal(c2v_b[k], c2v_k)
-        assert np.array_equal(total_b[k], total_k)
+    _assert_columns_flood_alone(pc400, Lch)
 
 
 def test_input_contracts(pc400):
@@ -151,14 +162,19 @@ def test_input_contracts(pc400):
     # builds the variable-to-check messages in the c2v array it is handed
     rng = np.random.default_rng(14)
     lay = pc400.layout
-    Lch = rng.normal(0, 3, (2, pc400.n))
-    Lch[:, ::9] = 0.0                 # exact zeros reach the check update
-    c2v, c2v_sum = L.flood(Lch, np.zeros((2, len(lay.edge_var))),
+    Lch = rng.normal(0, 3, (pc400.n, 2))
+    Lch[::9] = 0.0                    # exact zeros reach the check update
+    c2v, c2v_sum = L.flood(Lch, np.zeros((len(lay.edge_var), 2)),
                            np.zeros(Lch.shape), pc400)[:2]
-    v2c = (Lch + c2v_sum)[..., lay.edge_var] - c2v
+    v2c = (Lch + c2v_sum)[lay.edge_var] - c2v
     assert (v2c == 0).any()
     v2c_bytes = v2c.tobytes()
-    L.check_messages(v2c, lay)
+    want = L.check_messages(v2c, lay)
+    assert v2c.tobytes() == v2c_bytes
+    # given an out array, the messages go there and v2c is still only read
+    out = np.full_like(v2c, np.nan)
+    assert L.check_messages(v2c, lay, out=out) is out
+    assert out.tobytes() == want.tobytes()
     assert v2c.tobytes() == v2c_bytes
     read_only = (Lch, c2v_sum)
     before = [a.tobytes() for a in read_only]
@@ -169,28 +185,57 @@ def test_input_contracts(pc400):
         assert not any(np.shares_memory(out, a) for a in read_only + (c2v,))
 
 
+def _check_order(pc):
+    """The layout index of every edge, check by check and, within a check,
+    slot by slot: the order of pc.chk_vars."""
+    at = {}
+    for d, n_d, off in pc.layout.classes:
+        chks = [c for c, vs in enumerate(pc.chk_vars) if len(vs) == d]
+        assert len(chks) == n_d
+        for i, c in enumerate(chks):
+            at[c] = [off + j * n_d + i for j in range(d)]
+    return np.array([e for c in range(pc.n_checks) for e in at[c]])
+
+
 def test_layout_built_once(pc400):
     assert pc400.layout is pc400.layout
     lay = pc400.layout
-    assert lay.edge_var.tolist() == [v for vs in pc400.chk_vars for v in vs]
+    # one class per check degree, in ascending degree, whose (d, n_d)
+    # blocks tile the edges in turn
     degs = [len(vs) for vs in pc400.chk_vars]
-    assert lay.chk_ptr.tolist() == [sum(degs[:c]) for c in range(len(degs))]
-    assert lay.chk_deg.tolist() == degs
+    assert [d for d, _, _ in lay.classes] == sorted(set(degs))
+    off = 0
+    for d, n_d, start in lay.classes:
+        assert start == off and n_d == degs.count(d)
+        off += d * n_d
+    assert off == len(lay.edge_var) == sum(degs)
+    # slot j of a class's c-th check holds that check's j-th variable, and
+    # every edge is some check's slot exactly once
+    order = _check_order(pc400)
+    assert sorted(order.tolist()) == list(range(len(lay.edge_var)))
+    assert lay.edge_var[order].tolist() == [v for vs in pc400.chk_vars
+                                            for v in vs]
+    blocks = lay.blocks(np.arange(len(lay.edge_var)))
+    for (d, n_d, off), blk in zip(lay.classes, blocks):
+        assert blk.shape == (d, n_d)
+        assert blk[:, 0].tolist() == [off + j * n_d for j in range(d)]
     # column v lists v's d_v = 3 edges, in check order
     assert lay.var_edges.shape == (3, pc400.n)
     for v in range(pc400.n):
-        want = [e for e, u in enumerate(lay.edge_var) if u == v]
+        want = [e for e in order if lay.edge_var[e] == v]
         assert lay.var_edges[:, v].tolist() == want
 
 
-def _bincount_var_sum(c2v, lay, n):
-    """Sum of edge messages of shape (..., E) per variable by one bincount
-    over stacked words: the reference for flood's variable sum."""
-    batch = c2v.shape[:-1]
+def _bincount_var_sum(c2v, pc):
+    """Sum of edge messages of shape (E, ...) per variable by one bincount
+    over the edges in check order: the reference for flood's variable sum."""
+    lay = pc.layout
+    order = _check_order(pc)
+    batch = c2v.shape[1:]
     rows = int(np.prod(batch))
-    bins = (np.arange(rows)[:, None] * n + lay.edge_var).ravel()
-    return np.bincount(bins, weights=c2v.ravel(),
-                       minlength=rows * n).reshape(*batch, n)
+    bins = (lay.edge_var[order][:, None] * rows + np.arange(rows)).ravel()
+    return np.bincount(bins, weights=c2v[order].ravel(),
+                       minlength=pc.n * rows).reshape((pc.n,) + batch)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 4)],
@@ -201,21 +246,19 @@ def test_var_sum_matches_bincount(pc400, shape):
     # exactly, so v2c is chosen freely; zeros among it make the check
     # update emit +0.0 and -0.0
     rng = np.random.default_rng(8)
-    lay = pc400.layout
-    n_edges = len(lay.edge_var)
-    zeros = np.zeros(shape + (pc400.n,))
+    n_edges = len(pc400.layout.edge_var)
+    zeros = np.zeros((pc400.n,) + shape)
     all_neg_zero = 0
     for trial in range(20):
-        v2c = rng.normal(0, 6, shape + (n_edges,))
-        v2c[..., rng.random(n_edges) < 0.1 * (trial % 5)] = 0.0
+        v2c = rng.normal(0, 6, (n_edges,) + shape)
+        v2c[rng.random(n_edges) < 0.1 * (trial % 5)] = 0.0
         c2v, c2v_sum, _ = L.flood(zeros, -v2c, zeros, pc400)
-        want = _bincount_var_sum(c2v, lay, pc400.n)
+        want = _bincount_var_sum(c2v, pc400)
         assert c2v_sum.tobytes() == want.tobytes()
         # variables whose 3 messages are all -0.0, which bincount sums
         # from +0.0 to +0.0
         neg_zero = ((c2v == 0) & np.signbit(c2v)).astype(float)
-        all_neg_zero += int(np.sum(_bincount_var_sum(neg_zero, lay,
-                                                     pc400.n) == 3))
+        all_neg_zero += int(np.sum(_bincount_var_sum(neg_zero, pc400) == 3))
     assert all_neg_zero > 0
 
 
@@ -237,15 +280,14 @@ def test_vn_update():
 def test_check_messages_matches_scalar():
     rng = np.random.default_rng(4)
     for trial in range(80):
-        deg = rng.integers(2, 9)
+        # from degree 9 on, the log sum takes numpy's pairwise branch
+        deg = rng.integers(2, 21)
         llrs = rng.normal(0, 4, deg)
         # zero inputs: none, one, or two or more (every output then 0)
         n_zero = (0, 1, 2, int(deg))[trial % 4]
         llrs[rng.choice(deg, n_zero, replace=False)] = 0.0
-        lay = L.EdgeLayout(edge_var=np.arange(deg), chk_ptr=np.array([0]),
-                           chk_deg=np.array([deg]),
-                           var_edges=np.arange(deg)[None, :])
-        out = L.check_messages(llrs[None, :], lay)[0]
+        lay = L.ParityCheck(deg, 0, [list(range(deg))]).layout
+        out = L.check_messages(llrs, lay)
         for i in range(deg):
             ref = O.cn_update(np.delete(llrs, i))
             assert out[i] == pytest.approx(ref, abs=1e-9)
@@ -255,21 +297,23 @@ def test_check_messages_matches_scalar():
             assert not np.signbit(out).any()
 
 
-def _check_messages_counting(v2c, lay):
-    """Integer-count form of the check update, the bit-exact reference for
-    L.check_messages: zero inputs and negative signs are counted per check
+def _check_messages_counting(v2c, ptr, deg):
+    """Integer-count form of the check update over edges of shape (..., E)
+    in check order, check c holding the deg[c] edges from ptr[c]: the
+    bit-exact reference for L.check_messages. Log magnitudes are summed by
+    np.add.reduceat, zero inputs and negative signs are counted per check
     and the leave-one-out parity taken modulo 2."""
     t = np.tanh(np.clip(v2c, -L.LLR_CLAMP, L.LLR_CLAMP) / 2.0)
     absr = np.abs(t)
     iszero = absr < 1e-300
     logt = np.where(iszero, 0.0, np.log(np.where(iszero, 1.0, absr)))
     neg = ((t < 0) & ~iszero).astype(np.int64)
-    sum_log = np.add.reduceat(logt, lay.chk_ptr, axis=-1)
-    n_zero = np.add.reduceat(iszero.astype(np.int64), lay.chk_ptr, axis=-1)
-    n_neg = np.add.reduceat(neg, lay.chk_ptr, axis=-1)
-    sum_log = np.repeat(sum_log, lay.chk_deg, axis=-1)
-    n_zero = np.repeat(n_zero, lay.chk_deg, axis=-1)
-    n_neg = np.repeat(n_neg, lay.chk_deg, axis=-1)
+    sum_log = np.add.reduceat(logt, ptr, axis=-1)
+    n_zero = np.add.reduceat(iszero.astype(np.int64), ptr, axis=-1)
+    n_neg = np.add.reduceat(neg, ptr, axis=-1)
+    sum_log = np.repeat(sum_log, deg, axis=-1)
+    n_zero = np.repeat(n_zero, deg, axis=-1)
+    n_neg = np.repeat(n_neg, deg, axis=-1)
     other_zero = n_zero - iszero
     mag = np.exp(sum_log - logt)
     mag = np.where(other_zero > 0, 0.0, np.minimum(mag, L._TANH_CLAMP))
@@ -288,13 +332,17 @@ _EDGE_VALUES = np.array([0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324,
 @pytest.mark.parametrize("shape", [(), (3,), (2, 4)],
                          ids=["1d", "batch3", "batch2x4"])
 def test_check_messages_matches_counting_form(shape):
+    # check degrees 2-20: from 9 on, the log sum takes numpy's pairwise
+    # branch
     rng = np.random.default_rng(21)
-    deg = rng.integers(2, 9, 40)
+    deg = rng.integers(2, 21, 40)
     n_edges = int(deg.sum())
-    lay = L.EdgeLayout(edge_var=np.arange(n_edges),
-                       chk_ptr=np.concatenate([[0], np.cumsum(deg[:-1])]),
-                       chk_deg=deg, var_edges=np.arange(n_edges)[None, :])
-    ptr = lay.chk_ptr
+    ptr = np.concatenate([[0], np.cumsum(deg[:-1])])
+    # variable e is check-order edge e, so edge_var takes a check-order
+    # array to the layout's order
+    lay = L.ParityCheck(n_edges, 0, [list(range(p, p + d))
+                                     for p, d in zip(ptr, deg)]).layout
+    to_layout = lay.edge_var
     for trial in range(60):
         v2c = rng.normal(0, 6, shape + (n_edges,))
         if trial % 6:
@@ -307,10 +355,11 @@ def test_check_messages_matches_counting_form(shape):
                     at = ptr[c] + rng.choice(d, k, replace=False)
                     pool = _EDGE_VALUES[:2] if c % 3 == 0 else _EDGE_VALUES
                     row[at] = rng.choice(pool, k)
-        want = _check_messages_counting(v2c, lay)
-        got = L.check_messages(v2c, lay)
+        want = np.moveaxis(_check_messages_counting(v2c, ptr, deg)
+                           [..., to_layout], -1, 0)
+        got = L.check_messages(np.moveaxis(v2c[..., to_layout], -1, 0), lay)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_noiseless_decode(pc400):

@@ -204,7 +204,8 @@ def test_vectorized_first_iteration_matches_scalar(tiny, monkeypatch):
 
     def recording_flood(Lch, c2v, c2v_sum, pc):
         c2v, c2v_sum, total = flood(Lch, c2v, c2v_sum, pc)
-        calls.append((Lch.copy(), total.copy()))
+        # the flood's arrays are (N, n_live): one column per live user
+        calls.append((Lch.T.copy(), total.T.copy()))
         return c2v, c2v_sum, total
 
     monkeypatch.setattr(L, "flood", recording_flood)
@@ -466,7 +467,7 @@ def _traced_decode_peak(base, snr_db):
 ], ids=["desk", "paper"])
 def test_decode_working_set(base, snr_db, bound):
     # One iteration holds one live copy of each per-edge array and ends
-    # its temporaries in their step: the peak reads 8.1 at DESK and 11.4 at
+    # its temporaries in their step: the peak reads 7.4 at DESK and 10.0 at
     # PAPER (numpy 2.4). With arrays kept past their step it read 19.5 and
     # 26.6; each bound is half of that, so such a regression fails here
     assert _traced_decode_peak(base, snr_db) <= bound
