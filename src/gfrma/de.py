@@ -13,21 +13,21 @@ expanded only for the yielded states. mi_step takes the gain and the user
 count of each row, so a direct call holds one user per row. E[d] and the
 check-degree profile are built once per code by _code_constants().
 
-The DE recursion reads J, J^-1 and Omega from monotone-spline tables that
-_tables() builds once per process: J and Omega are evaluated on fixed grids
-by one 200-node Gauss-Hermite rule, and Omega takes s = J^-1(I) from the
-inverse table. The check-node update l2 is one more spline per check-degree
-profile, built by _check_table() on first use from the composed J/J^-1
-form, _composed_check_update, at the J table's knots, so a DE step reads
-three splines. The splines are _Pchip, a numpy monotone cubic (Fritsch &
-Carlson) that returns scipy's PchipInterpolator values bit for bit, so DE
-runs on numpy alone. j_function and j_inverse are the adaptive-quadrature
-forms of J and J^-1, kept as the reference the tables are tested against;
-they alone import scipy, when called. The J table departs from j_function
-by up to 1.34e-6 below x = 0.5 (at x = 0.0068, where J is 8.3e-6) and by at
-most 1.7e-8 from x = 0.5 on; Omega is within ~1e-6 of the tests'
-quadrature Omega up to I = 0.9994 and steps at its table edge (ROADMAP
-item 10 covers both ends).
+J, J^-1 and Omega are j_function, j_inverse and omega: lookups in
+monotone-spline tables that _tables() builds once per process. J and Omega
+are evaluated on fixed grids by one 200-node Gauss-Hermite rule, and Omega
+takes s = J^-1(I) from the inverse table. The check-node update l2 is one
+more spline per check-degree profile, built by _check_table() on first use
+from the composed J/J^-1 form, _composed_check_update, at the J table's
+knots, so a DE step reads three splines. The splines are _Pchip, a numpy
+monotone cubic (Fritsch & Carlson) that returns SciPy's PchipInterpolator
+values bit for bit, so the package runs on numpy alone. The tests hold the
+adaptive-quadrature J, J^-1 and Omega as the references for the tables
+(tests/oracles.py). j_function departs from the quadrature J by up to
+1.34e-6 below x = 0.5 (at x = 0.0068, where J is 8.3e-6) and by at most
+1.7e-8 from x = 0.5 on; omega is within ~1e-6 of the quadrature Omega up
+to I = 0.9994 and steps at its table edge (ROADMAP item 10 covers both
+ends).
 """
 from __future__ import annotations
 
@@ -62,46 +62,6 @@ _GAMMA_MAX_DB = 40.0
 _GAMMA_MIN_DB = -60.0
 
 
-def j_function(x):
-    """MI of an LLR distributed N(x^2/2, x^2); adaptive quadrature.
-
-    J(0) = 0, strictly increasing, J(x) -> 1 as x -> infinity.
-    """
-    x = float(x)
-    if x < 0:
-        raise ValueError("j_function requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    from scipy import integrate
-
-    def integrand(u):
-        # substitution xi = x^2/2 + x*u, u ~ N(0,1); stable softplus
-        v = x * x / 2.0 + x * u
-        return (math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-                * np.logaddexp(0.0, -v) / math.log(2.0))
-
-    val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-11,
-                            limit=200)
-    return 1.0 - val
-
-
-def j_inverse(mi):
-    """Solve j_function(x) = mi by bracketing root-find."""
-    mi = float(mi)
-    if not (0.0 <= mi < 1.0):
-        raise ValueError("j_inverse requires 0 <= mi < 1")
-    if mi == 0.0:
-        return 0.0
-    from scipy import optimize
-    hi = 1.0
-    while j_function(hi) < mi:
-        hi *= 2.0
-        if hi > _X_MAX:
-            return _X_MAX
-    return float(optimize.brentq(lambda x: j_function(x) - mi, 0.0, hi,
-                                 xtol=1e-12, rtol=1e-14))
-
-
 # Gauss-Hermite rule for the table build: E[f(u)], u ~ N(0, 1), is
 # sum(_GH_WEIGHTS * f(_GH_NODES))
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(200)
@@ -125,7 +85,7 @@ def _gauss_mean(f, s):
 class _Pchip:
     """Monotone piecewise-cubic interpolant through (x, y), x strictly
     increasing with at least 3 knots: Fritsch & Carlson's slopes with
-    Moler's three-point end slopes, as scipy's PchipInterpolator, whose
+    Moler's three-point end slopes, as SciPy's PchipInterpolator, whose
     values it returns bit for bit. The end pieces extrapolate.
 
     One (5, n-1) table holds each piece's left knot and its power-basis
@@ -169,10 +129,11 @@ class _Pchip:
 
 
 class _Tables:
-    """Spline tables for the DE hot path, built once by _tables().
+    """The splines that j_function, j_inverse and omega read, built once
+    by _tables(), and the J table's knots.
 
     J and Omega are evaluated on fixed grids by one Gauss-Hermite rule;
-    Omega takes its s = J^-1(I) from the inverse-J table.
+    Omega takes its s = J^-1(I) from the inverse-J spline.
     """
 
     def __init__(self):
@@ -180,7 +141,7 @@ class _Tables:
                             np.linspace(12.02, _X_MAX, 400)])
         jv = 1.0 - _gauss_mean(lambda v: np.logaddexp(0.0, -v), x) \
             / math.log(2.0)
-        jv[x == 0.0] = 0.0     # exactly, as j_function(0)
+        jv[x == 0.0] = 0.0     # J(0) = 0 exactly
         self.knots = x
         self._j = _Pchip(x, jv)
         # strictly increasing part for the inverse
@@ -191,25 +152,38 @@ class _Tables:
         ov = _gauss_mean(lambda v: np.tanh(v / 2.0) ** 2, self._j_inv(iv))
         self._omega = _Pchip(iv, ov)
 
-    # np.minimum/np.maximum clamp as np.clip does, without its wrapper
-    def j(self, x):
-        return np.minimum(np.maximum(self._j(np.minimum(x, _X_MAX)), 0.0),
-                          1.0)
-
-    def j_inv(self, mi):
-        return self._j_inv(np.minimum(np.maximum(mi, 0.0), self._j_max))
-
-    def omega(self, mi):
-        mi = np.asarray(mi, dtype=float)
-        om = self._omega(np.minimum(mi, 0.9995))
-        return np.where(mi >= 0.9995, 1.0 - (1.0 - mi) * 1e-9,
-                        np.minimum(np.maximum(om, 0.0), 1.0))
-
 
 @functools.cache
 def _tables() -> _Tables:
     """The process's one _Tables, built on first use."""
     return _Tables()
+
+
+# np.minimum/np.maximum clamp as np.clip does, without its wrapper
+def j_function(x):
+    """J(x): the MI of an LLR distributed N(x^2/2, x^2), from the J table.
+
+    J(0) = 0, increasing, and clamped to [0, 1]; x is clamped at _X_MAX.
+    """
+    return np.minimum(np.maximum(_tables()._j(np.minimum(x, _X_MAX)), 0.0),
+                      1.0)
+
+
+def j_inverse(mi):
+    """J^-1(mi) from the inverse table, mi clamped to [0, J's largest
+    tabled value]."""
+    tab = _tables()
+    return tab._j_inv(np.minimum(np.maximum(mi, 0.0), tab._j_max))
+
+
+def omega(mi):
+    """Omega(I) = E[tanh^2(L/2)] for L ~ N(s^2/2, s^2), s = J^-1(I): the
+    residual soft-symbol power at MI I, from the Omega table, taken as
+    1 - (1 - I) 1e-9 from its edge at I = 0.9995 on."""
+    mi = np.asarray(mi, dtype=float)
+    om = _tables()._omega(np.minimum(mi, 0.9995))
+    return np.where(mi >= 0.9995, 1.0 - (1.0 - mi) * 1e-9,
+                    np.minimum(np.maximum(om, 0.0), 1.0))
 
 
 def l1(h, mean_degree, T, N, mu_h, xi_total):
@@ -249,13 +223,12 @@ def _composed_check_update(x, d_c, frac):
     (d_c, frac), which share one J-table call. It builds _check_table's
     knots and is the reference that table is tested against.
     """
-    tab = _tables()
-    x_rev = tab.j_inv(1.0 - tab.j(x))
+    x_rev = j_inverse(1.0 - j_function(x))
     col = (-1,) + (1,) * x_rev.ndim
     root = np.sqrt(d_c - 1).reshape(col)
-    i_cv = (frac.reshape(col) * (1.0 - tab.j(root * x_rev))).sum(axis=0)
-    # j_inv clamps to [0, J's largest tabled value], inside [0, 1]
-    return tab.j_inv(i_cv) ** 2 / 2.0
+    i_cv = (frac.reshape(col) * (1.0 - j_function(root * x_rev))).sum(axis=0)
+    # j_inverse clamps to [0, J's largest tabled value], inside [0, 1]
+    return j_inverse(i_cv) ** 2 / 2.0
 
 
 @functools.cache
@@ -321,7 +294,7 @@ def initial_de_state(cfg: SystemConfig, active_gains) -> DeState:
     mi0 = np.zeros(len(g))
     xi_h0 = np.full(len(g), cfg.prior_var)
     ed, _ = _code_constants(cfg.racf, cfg.N, cfg.m, cfg.d_v)
-    xi_s0 = de_interference_variance(g, 1.0, ed, _tables().omega(mi0), xi_h0)
+    xi_s0 = de_interference_variance(g, 1.0, ed, omega(mi0), xi_h0)
     return DeState(mi0, xi_h0, np.zeros(len(g)), xi_s0)
 
 
@@ -342,16 +315,15 @@ def mi_step(state: DeState, cfg: SystemConfig, gains, count=1.0) -> DeState:
     g = gains[:, None]
     ed, dc_profile = _code_constants(cfg.racf, cfg.N, cfg.m, cfg.d_v)
     xi_w = cfg.noise_variance
-    tab = _tables()
 
     xi_total = (state.xi_s + state.xi_h + xi_w)[:, None]
     mu = g + np.sqrt(state.xi_h)[:, None] * _GL_Z
     mu_l = np.maximum(l1(g, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
     mu_cv = l2(mu_l, cfg.d_v, dc_profile, state.mu_c2v[:, None])
-    jvals = tab.j(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv, 0.0)))
+    jvals = j_function(np.sqrt(2.0 * np.maximum(mu_l + cfg.d_v * mu_cv, 0.0)))
     mi_new = np.minimum(np.maximum(jvals @ _GL_MASS, 0.0), 1.0)
     mu_c2v_new = (mu_cv @ _GL_MASS) / _GL_MASS_SUM
-    om = tab.omega(mi_new)
+    om = omega(mi_new)
     xi_s_new = de_interference_variance(gains, count, ed, om, state.xi_h)
     xi_h_new = de_channel_variance(cfg.T * ed, om, xi_s_new, xi_w,
                                    cfg.prior_var)

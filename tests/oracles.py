@@ -7,7 +7,7 @@ edge or one point at a time, as oracles for that array code.
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from gfrma import de
 from gfrma.config import racf_mean_degree
@@ -109,7 +109,46 @@ def vn_update(channel_llr, incoming_checks):
 
 
 # ---------------------------------------------------------------------------
-# density evolution
+# density evolution: J, J^-1 and Omega by adaptive quadrature, the
+# references for de.j_function, de.j_inverse and de.omega
+
+def j_function(x):
+    """MI of an LLR distributed N(x^2/2, x^2); adaptive quadrature.
+
+    J(0) = 0, strictly increasing, J(x) -> 1 as x -> infinity.
+    """
+    x = float(x)
+    if x < 0:
+        raise ValueError("j_function requires x >= 0")
+    if x == 0.0:
+        return 0.0
+
+    def integrand(u):
+        # substitution xi = x^2/2 + x*u, u ~ N(0,1); stable softplus
+        v = x * x / 2.0 + x * u
+        return (math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+                * np.logaddexp(0.0, -v) / math.log(2.0))
+
+    val, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=1e-11,
+                            limit=200)
+    return 1.0 - val
+
+
+def j_inverse(mi):
+    """Solve j_function(x) = mi by bracketing root-find."""
+    mi = float(mi)
+    if not (0.0 <= mi < 1.0):
+        raise ValueError("j_inverse requires 0 <= mi < 1")
+    if mi == 0.0:
+        return 0.0
+    hi = 1.0
+    while j_function(hi) < mi:
+        hi *= 2.0
+        if hi > de._X_MAX:
+            return de._X_MAX
+    return float(optimize.brentq(lambda x: j_function(x) - mi, 0.0, hi,
+                                 xtol=1e-12, rtol=1e-14))
+
 
 def omega(mi):
     """Residual soft-symbol power E[tanh^2(L/2)] at mutual information mi.
@@ -119,7 +158,7 @@ def omega(mi):
     mi = float(mi)
     if mi <= 0.0:
         return 0.0
-    s = de.j_inverse(mi)
+    s = j_inverse(mi)
 
     def integrand(u):
         return (math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
@@ -143,7 +182,7 @@ def mi_step_monte_carlo(state, cfg, gains, rng, n):
         xi_total = state.xi_s + state.xi_h[k] + cfg.noise_variance
         mu_l = np.maximum(de.l1(h, ed, cfg.T, cfg.N, mu, xi_total), 0.0)
         mu_cv = de.l2(mu_l, cfg.d_v, prof, state.mu_c2v[k])
-        vals = de._tables().j(np.sqrt(2 * np.maximum(
+        vals = de.j_function(np.sqrt(2 * np.maximum(
             mu_l + cfg.d_v * mu_cv, 0.0)))
         mean[k], sem[k] = vals.mean(), vals.std() / math.sqrt(n)
     return mean, sem

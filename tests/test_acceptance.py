@@ -219,7 +219,7 @@ def test_criterion_07_ldpc_component():
 
 
 def test_criterion_08_numerics():
-    worst = max(abs(de.j_inverse(de.j_function(x)) - x)
+    worst = max(abs(O.j_inverse(O.j_function(x)) - x)
                 for x in np.linspace(0.01, 10.0, 101))
     assert worst < 1e-6
     rng = np.random.default_rng(108)

@@ -165,10 +165,16 @@ def run_fresh(code):
     return proc.stdout
 
 
-def test_simulator_never_loads_scipy():
-    # the sweep, then DE: a threshold search and a 1-point attach_de
+def test_simulator_never_loads_scipy(tmp_path):
+    # numpy is the one runtime dependency: with scipy blocked, so that
+    # importing it raises ImportError, the sweep, then DE (a threshold
+    # search and a 1-point attach_de), the de and sweep --with-de commands
+    # and the DE demo run, and none of them loads numpy.ma
+    out = str(tmp_path / "out.csv")
+    demo = str(ROOT / "demos" / "de_threshold.py")
     code = (
-        "import sys\n"
+        "import runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from gfrma import cli, de, harness\n"
         "spec = harness.ExperimentSpec(harness.DESK_CONFIG, (-5.0,),\n"
         "                              trials=1)\n"
@@ -176,11 +182,14 @@ def test_simulator_never_loads_scipy():
         "de.threshold_search(harness.DESK_CONFIG,\n"
         "    harness.expected_active_gains(harness.DESK_CONFIG))\n"
         "harness.attach_de(result, spec)\n"
+        f"assert cli.main(['de', '--snr-db=-7,-6', '--out', {out!r}]) == 0\n"
+        "assert cli.main(['sweep', '--snr-db', '-5', '--trials', '2',\n"
+        f"                 '--with-de', '--out', {out!r}]) == 0\n"
+        f"runpy.run_path({demo!r})\n"
         "print(*sorted(m for m in sys.modules\n"
-        "              if m.partition('.')[0] == 'scipy'\n"
-        "              or (m + '.').startswith('numpy.ma.')))\n"
+        "              if (m + '.').startswith('numpy.ma.')))\n"
     )
-    assert run_fresh(code).split() == []
+    assert run_fresh(code).splitlines()[-1].split() == []
 
 
 def test_sweep_loads_no_module_late():
