@@ -25,6 +25,8 @@ import numpy as np
 # build or trial does not pay for that import
 from numpy.random import default_rng
 
+from . import lanes
+
 LLR_CLAMP = 30.0
 # largest |tanh(L/2)| representable under the clamp
 _TANH_CLAMP = np.tanh(LLR_CLAMP / 2.0)
@@ -220,7 +222,23 @@ def check_messages(v2c, lay: EdgeLayout, out=None):
     zero: it takes log 1 = 0 and sign +1, and every other edge of its check
     gets magnitude 0, by a per-check zero count that runs only when the
     batch holds a zero.
+
+    A large batch (lanes.two_lanes) is updated in two runs of check-degree
+    classes at once (EdgeLayout.halves), the second on the lanes module's
+    worker thread; every check is independent, so the bits are the same.
     """
+    if lay.halves and lanes.two_lanes(v2c.size):
+        if out is None:
+            out = np.empty(v2c.shape)
+        lanes.each(lambda half: _check_update(v2c[half[0]], half[1],
+                                              out[half[0]]), lay.halves)
+        return out
+    return _check_update(v2c, lay.classes, out)
+
+
+def _check_update(v2c, classes, out):
+    """check_messages on one thread, over the check classes `classes` of
+    the edges of v2c, into out (None for a new array)."""
     # np.clip's bounds, in two ufunc calls that cost less than its wrapper
     t = np.maximum(v2c, -LLR_CLAMP, out=out)
     np.minimum(t, LLR_CLAMP, out=t)
@@ -236,13 +254,13 @@ def check_messages(v2c, lay: EdgeLayout, out=None):
     # mag holds log|t| until it is replaced by the leave-one-out magnitude,
     # and neg the edge's sign bit until it is replaced by the outgoing one
     np.log(mag, out=mag)
-    for mag_c, neg_c in zip(lay.blocks(mag), lay.blocks(neg)):
+    for mag_c, neg_c in zip(_blocks(mag, classes), _blocks(neg, classes)):
         np.subtract(_segment_sum(mag_c), mag_c, out=mag_c)
         neg_c ^= np.bitwise_xor.reduce(neg_c, axis=0)
     np.exp(mag, out=mag)
     np.minimum(mag, _TANH_CLAMP, out=mag)
     if has_zero:
-        _silence_zero_checks(mag, iszero, lay)
+        _silence_zero_checks(mag, iszero, classes)
     # sign = 1 - 2 neg, as +/-1.0
     sign = np.multiply(neg, -2.0)
     sign += 1.0
@@ -251,15 +269,15 @@ def check_messages(v2c, lay: EdgeLayout, out=None):
     return np.multiply(2.0, out, out=out)
 
 
-def _silence_zero_checks(mag, iszero, lay: EdgeLayout):
+def _silence_zero_checks(mag, iszero, classes):
     """Set mag to 0 on every edge of a check that holds a zero input other
     than the edge itself.
 
     Per class, each check's zero count over its slots; zeros are rare, so
     only the checks (and batch columns) that hold one are then visited.
     """
-    for mag_c, zero_c in zip(lay.blocks(mag),
-                             lay.blocks(iszero.view(np.uint8))):
+    for mag_c, zero_c in zip(_blocks(mag, classes),
+                             _blocks(iszero.view(np.uint8), classes)):
         d = len(zero_c)
         # a count never exceeds d, so it fits the smallest type holding d
         count = np.add.reduce(zero_c, axis=0, dtype=np.min_scalar_type(d))
@@ -339,10 +357,29 @@ class EdgeLayout:
         order = np.lexsort((np.concatenate(edge_chk), edge_var))
         return cls(edge_var, tuple(classes), order.reshape(pc.n, -1).T)
 
-    def blocks(self, arr):
-        """Per class, the (d, n_d, ...) view of an (E, ...) edge array."""
-        return [arr[off:off + d * n_d].reshape((d, n_d) + arr.shape[1:])
-                for d, n_d, off in self.classes]
+    @cached_property
+    def halves(self):
+        """The classes as two runs of adjacent classes, cut at the class
+        boundary nearest the middle edge: per run, its edge rows and its
+        classes with offsets from the run's first edge. Empty with one
+        class."""
+        if len(self.classes) < 2:
+            return ()
+        n_edges = len(self.edge_var)
+        k = min(range(1, len(self.classes)),
+                key=lambda i: abs(2 * self.classes[i][2] - n_edges))
+        cut = self.classes[k][2]
+        return ((slice(0, cut), self.classes[:k]),
+                (slice(cut, n_edges),
+                 tuple((d, n_d, off - cut)
+                       for d, n_d, off in self.classes[k:])))
+
+
+def _blocks(arr, classes):
+    """Per class of `classes` (an EdgeLayout's, or a run of them), the
+    (d, n_d, ...) view of an (E, ...) edge array."""
+    return [arr[off:off + d * n_d].reshape((d, n_d) + arr.shape[1:])
+            for d, n_d, off in classes]
 
 
 def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
@@ -364,12 +401,36 @@ def flood(Lch, c2v, c2v_sum, pc: ParityCheck):
     zero input and gets a zero message.
     """
     lay = pc.layout
-    gathered = (Lch + c2v_sum)[lay.edge_var]
-    v2c = np.subtract(gathered, c2v, out=c2v)
+    # A large batch runs its edge-wise steps in check_messages' two runs
+    # of check classes and its variable-wise steps in two variable ranges,
+    # each pair at once (lanes.each), so that each thread's edges stay on
+    # its CPU
+    if lay.halves and lanes.two_lanes(c2v.size):
+        edge_parts = [rows for rows, _ in lay.halves]
+        var_parts = [slice(0, pc.n // 2), slice(pc.n // 2, pc.n)]
+    else:
+        edge_parts = var_parts = [slice(None)]
+    Lsum = Lch + c2v_sum
+    gathered = np.empty(c2v.shape)
+
+    def to_checks(rows):
+        # mode "clip" writes to out unbuffered; every index is in range
+        g = Lsum.take(lay.edge_var[rows], axis=0, out=gathered[rows],
+                      mode="clip")
+        np.subtract(g, c2v[rows], out=c2v[rows])
+
+    lanes.each(to_checks, edge_parts)
+    del Lsum
     # the new messages take over the gathered array
-    c2v = check_messages(v2c, lay, out=gathered)
-    # each variable's d_v messages, added in check order
-    c2v_sum = np.take(c2v, lay.var_edges, axis=0).sum(axis=0)
+    c2v = check_messages(c2v, lay, out=gathered)
+    c2v_sum = np.empty(Lch.shape)
+
+    def variable_sums(rows):
+        # each variable's d_v messages, added in check order
+        c2v.take(lay.var_edges[:, rows], axis=0).sum(axis=0,
+                                                     out=c2v_sum[rows])
+
+    lanes.each(variable_sums, var_parts)
     return c2v, c2v_sum, Lch + c2v_sum
 
 

@@ -8,6 +8,21 @@ user status nodes refreshed from the symbol-wise channel estimates.
 
 iterate applies the update rules to all edges at once and yields each
 iteration's beliefs; the tests hold the same rules edge by edge as oracles.
+
+Lanes: users interact only through the two per-RE sums of step (1), so
+iterate runs its per-edge and per-user work in lanes, contiguous user
+ranges with their edges (edges are grouped by user), between which the
+calling thread forms those sums and the channel-LLR sum over all edges
+with bincount and runs the LDPC flood, whose check update and variable
+sums split in two themselves (ldpc.flood). A block of n_live x E_ldpc at
+least lanes._MIN_SIZE (50 000: DESK's 30 x 600 stays in one lane, PAPER's
+100 x 1 200 runs in two) is cut in two lanes at the user boundary nearest
+the access-edge midpoint, the second lane on a worker thread, when the
+process may run on two CPUs and is no multiprocessing child; otherwise one
+lane runs. Every bincount bin other than those sums, and every flood
+column, belongs to one user, and the other steps are elementwise, so each
+value is computed by the same operations in the same order: the bits do
+not depend on the lane count.
 """
 from __future__ import annotations
 
@@ -17,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ldpc
+from . import lanes, ldpc
 from .config import SystemConfig
 from .pattern import AccessGraph
 
@@ -63,19 +78,19 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
 
     # edges are grouped by user, so repeating a per-user value by the
     # user's edge count lays it onto the user's edges
-    e_user = graph.edge_user
     e_count = graph.user_edge_counts
     e_re = graph.edge_re
-    y_e = y[e_re]
+    e_sym = graph.edge_live_sym
     # The LDPC step runs on the live users, those with edges, only, one
     # column each: its arrays are (n, n_live) and (E, n_live), so that each
     # check slot is one contiguous block. A user with no edges would have
-    # an all +0.0 channel LLR column, which ldpc.flood keeps at +0.0: its
+    # an all +0.0 channel LLR column, which the flood keeps at +0.0: its
     # hard bits are the all-zero codeword, which passes.
     live = np.flatnonzero(graph.has_edges)
-    e_sym = graph.edge_live_sym
     n_live = len(live)
     xi_w = cfg.noise_variance
+    lay = pc.layout
+    parts = _lanes(graph, y[e_re], n_live * len(lay.edge_var))
 
     if known_active is None:
         q = np.full(cfg.K, cfg.p_a)
@@ -88,71 +103,101 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
         mu_h = np.array(known_gains, dtype=float)   # a copy, not aliased
         xi_h = np.full(cfg.K, KNOWN_GAIN_VAR)
 
-    c2v = np.zeros((len(pc.layout.edge_var), n_live))
+    # Each phase below runs per lane (lanes.each) on the lane's edges and
+    # users, writing its part of per-edge arrays made here. Every per-edge
+    # array is updated in place or ended in its step, so only resid, xi_i
+    # and r2v, which later steps read, live across the LDPC flood. The out=
+    # writes keep each operation and its operand order, and they go to
+    # float arrays made here: a bincount over no edges is int64.
+
+    def moments(lane):
+        # (1) interference moments per edge; term_mu takes over m_soft's
+        # array, and term_var = q (mu^2 + xi) - q^2 mu^2 m^2
+        e = lane.edges
+        t_mu = np.multiply(rep_mu[e], m_soft[e], out=m_soft[e])
+        t_var = term_var[e]
+        # term_mu ** 2, in rep_mu's array, which no later step reads
+        np.subtract(t_var, np.square(t_mu, out=rep_mu[e]), out=t_var)
+
+    def symbol_messages(lane):
+        # (1), leave-one-out via the RE aggregates, in the arrays of
+        # term_mu (resid) and term_var (xi_i)
+        e, u = lane.edges, lane.users
+        mu_i = np.subtract(S_mu.take(lane.e_re), term_mu[e],
+                           out=term_mu[e])
+        resid = np.subtract(lane.y_e, mu_i, out=mu_i)
+        xi_i = np.subtract(S_var.take(lane.e_re), term_var[e],
+                           out=term_var[e])
+        np.maximum(xi_i, 0.0, out=xi_i)
+        # (2) RE -> symbol messages, in the lane's part of r2v; its
+        # per-user factors are laid onto its edges only now, after the
+        # gathers above have ended
+        count = e_count[u]
+        r = np.multiply((2.0 * mu_h[u]).repeat(count), resid, out=r2v[e])
+        denom = xi_h[u].repeat(count)
+        denom += xi_i
+        denom += xi_w
+        r /= denom
+        r.clip(-LLR_CLAMP, LLR_CLAMP, out=r)
+
+    def estimates(lane):
+        # (3) extrinsic symbol -> RE messages, in r2v's array
+        e = lane.edges
+        v2r = np.subtract(total_flat.take(lane.e_sym), r2v[e],
+                          out=r2v[e])
+        v2r.clip(-LLR_CLAMP, LLR_CLAMP, out=v2r)
+        v2r /= 2.0
+        m = np.tanh(v2r, out=v2r)
+        # (4) symbol-wise channel estimates, summed per user, in the
+        # arrays of xi_i and resid, which no later step reads
+        if known_gains is None:
+            # a user's edges are all in its lane, so its bins are the lane's
+            d = np.add(term_var[e], xi_w, out=term_var[e])
+            w = m * m
+            w /= d
+            u = lane.users
+            W[u] = np.bincount(lane.e_user, weights=w,
+                               minlength=u.stop)[u.start:]
+            del w
+            wm = np.multiply(term_mu[e], m, out=term_mu[e])
+            wm /= d
+            WM[u] = np.bincount(lane.e_user, weights=wm,
+                                minlength=u.stop)[u.start:]
+
+    c2v = np.zeros((len(lay.edge_var), n_live))
     c2v_sum = np.zeros((pc.n, n_live))
     m_soft = np.zeros(graph.n_edges)      # tanh(v2r / 2) of v2r = 0
     for n in itertools.count(1):
-        # Every per-edge array is updated in place or ended in its step, so
-        # only resid, xi_i and r2v, which later steps read, live across the
-        # LDPC flood. The out= writes keep each operation and its operand
-        # order, and they go to float arrays made here: a bincount over no
-        # edges is int64.
-
-        # (1) interference moments per edge, leave-one-out via RE
-        # aggregates; term_mu takes over m_soft's array
-        term_mu = np.multiply(np.repeat(q * mu_h, e_count), m_soft,
-                              out=m_soft)
-        # per-edge variance term: q (mu^2 + xi) - q^2 mu^2 m^2
-        term_var = np.repeat(q * (mu_h * mu_h + xi_h), e_count)
-        term_var -= term_mu ** 2
+        rep_mu = (q * mu_h).repeat(e_count)
+        term_var = (q * (mu_h * mu_h + xi_h)).repeat(e_count)
+        lanes.each(moments, parts)
+        term_mu = m_soft
+        del rep_mu, m_soft
+        # the per-RE sums over every lane's edges, the one step in which
+        # users interact
         S_mu = np.bincount(e_re, weights=term_mu, minlength=graph.T)
         S_var = np.bincount(e_re, weights=term_var, minlength=graph.T)
-        mu_i = np.subtract(S_mu[e_re], term_mu, out=term_mu)
-        resid = np.subtract(y_e, mu_i, out=mu_i)
-        xi_i = np.subtract(S_var[e_re], term_var, out=term_var)
-        np.maximum(xi_i, 0.0, out=xi_i)
-        # drop the other names of resid's and xi_i's arrays, so that the
-        # del after step (4) frees them
-        del term_mu, term_var, mu_i, m_soft
-
-        # (2) RE -> symbol messages
-        denom = np.repeat(xi_h, e_count)
-        denom += xi_i
-        denom += xi_w
-        r2v = np.repeat(2.0 * mu_h, e_count)
-        r2v *= resid
-        r2v /= denom
-        np.clip(r2v, -LLR_CLAMP, LLR_CLAMP, out=r2v)
-        del denom
+        r2v = np.empty(graph.n_edges)
+        lanes.each(symbol_messages, parts)
+        del S_mu, S_var
 
         # (3) one flooding LDPC iteration per live user, from the summed
         # channel LLRs, which end with the flood; total is (n, n_live)
         c2v, c2v_sum, total = ldpc.flood(
             np.bincount(e_sym, weights=r2v, minlength=pc.n * n_live)
             .reshape(pc.n, n_live), c2v, c2v_sum, pc)
-        # extrinsic symbol -> RE messages, in r2v's array
-        v2r = np.subtract(total.reshape(-1)[e_sym], r2v, out=r2v)
-        np.clip(v2r, -LLR_CLAMP, LLR_CLAMP, out=v2r)
-        v2r /= 2.0
-        m_soft = np.tanh(v2r, out=v2r)
-        del r2v, v2r
-
-        # (4) symbol-wise channel estimates, fused per user, in the arrays
-        # of xi_i and resid, which no later step reads
+        total_flat = total.reshape(-1)
         if known_gains is None:
-            denom = np.add(xi_i, xi_w, out=xi_i)
-            w = m_soft * m_soft
-            w /= denom
-            W = np.bincount(e_user, weights=w, minlength=cfg.K)
-            del w
-            wm = np.multiply(resid, m_soft, out=resid)
-            wm /= denom
-            WM = np.bincount(e_user, weights=wm, minlength=cfg.K)
-            del wm, denom
+            W, WM = np.empty(cfg.K), np.empty(cfg.K)
+        lanes.each(estimates, parts)
+        m_soft = r2v
+        del r2v, term_mu, term_var, total_flat
+
+        # (4) the channel estimates fused per user
+        if known_gains is None:
             prec = W + 1.0 / cfg.prior_var
             mu_h = (WM + cfg.prior_mean / cfg.prior_var) / prec
             xi_h = 1.0 / prec
-        del resid, xi_i
 
         # (5) activity posteriors
         # users with no edges have no evidence and keep the prior activity
@@ -161,6 +206,34 @@ def iterate(cfg: SystemConfig, received, graph: AccessGraph,
                                             cfg.prior_var, cfg.p_a)
             q = np.where(graph.has_edges, q_new, q)
         yield Iteration(n, q, mu_h, xi_h, total.T, live)
+
+
+# One lane of iterate: a contiguous range of users and of their edges
+# (edges are grouped by user), with the lane's parts of the edge arrays
+_Lane = namedtuple("_Lane", "users edges e_re e_sym e_user y_e")
+
+
+def _lanes(graph: AccessGraph, y_e, size):
+    """iterate's lanes: every user in one, or, where lanes.two_lanes(size)
+    holds for the LDPC block of size n_live x E_ldpc, two, cut at the user
+    boundary nearest the access-edge midpoint that leaves edges on both
+    sides."""
+    # each user's run of edges ends where the running edge count reaches
+    ends = np.cumsum(graph.user_edge_counts)
+    cuts = [0, graph.K]
+    if lanes.two_lanes(size):
+        n_edges = graph.n_edges
+        inner = (ends > 0) & (ends < n_edges)
+        if inner.any():
+            gap = np.where(inner, np.abs(2 * ends - n_edges), 2 * n_edges)
+            cuts.insert(1, int(np.argmin(gap)) + 1)
+    starts = np.concatenate(([0], ends))
+    out = []
+    for u0, u1 in zip(cuts, cuts[1:]):
+        e = slice(int(starts[u0]), int(starts[u1]))
+        out.append(_Lane(slice(u0, u1), e, graph.edge_re[e],
+                         graph.edge_live_sym[e], graph.edge_user[e], y_e[e]))
+    return out
 
 
 def joint_decode(cfg: SystemConfig, received, graph: AccessGraph,

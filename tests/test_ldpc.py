@@ -215,7 +215,7 @@ def test_layout_built_once(pc400):
     assert sorted(order.tolist()) == list(range(len(lay.edge_var)))
     assert lay.edge_var[order].tolist() == [v for vs in pc400.chk_vars
                                             for v in vs]
-    blocks = lay.blocks(np.arange(len(lay.edge_var)))
+    blocks = L._blocks(np.arange(len(lay.edge_var)), lay.classes)
     for (d, n_d, off), blk in zip(lay.classes, blocks):
         assert blk.shape == (d, n_d)
         assert blk[:, 0].tolist() == [off + j * n_d for j in range(d)]
