@@ -296,7 +296,7 @@ def test_pool_after_two_lane_decode_is_deterministic(tmp_path):
         "for workers in (1, 2):\n"
         "    spec = H.ExperimentSpec(cfg, (0.0, 5.0), trials=2,\n"
         "                            master_seed=1, workers=workers)\n"
-        f"    H.snr_sweep_report(H.monte_carlo(spec),\n"
+        "    H.snr_sweep_report(H.monte_carlo(spec),\n"
         f"                       {str(tmp_path)!r} + f'/w{{workers}}.csv')\n"
     )
     env = dict(os.environ)

@@ -467,7 +467,7 @@ def _traced_decode_peak(base, snr_db):
 ], ids=["desk", "paper"])
 def test_decode_working_set(base, snr_db, bound):
     # One iteration holds one live copy of each per-edge array and ends
-    # its temporaries in their step: the peak reads 7.4 at DESK and 10.0 at
+    # its temporaries in their step: the peak reads 7.2 at DESK and 9.8 at
     # PAPER (numpy 2.4). With arrays kept past their step it read 19.5 and
     # 26.6; each bound is half of that, so such a regression fails here
     assert _traced_decode_peak(base, snr_db) <= bound
