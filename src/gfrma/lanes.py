@@ -14,7 +14,8 @@ workers of monte_carlo's pool already fill the CPUs. The worker is a daemon
 thread started on first use in each process, so a child forked after it
 started makes its own. A part the worker has not started by the time the
 calling thread is done with its own runs on the calling thread, so a busy
-host costs at most the one-lane time.
+host costs at most the one-lane time and a worker that never runs cannot
+hang the caller.
 """
 from __future__ import annotations
 

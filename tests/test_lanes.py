@@ -194,6 +194,19 @@ def test_each_runs_the_second_part_on_the_worker():
     assert ran[0] is not threading.current_thread() and ran[0].daemon
 
 
+def test_each_starts_a_worker_per_process(monkeypatch):
+    # a worker recorded under another pid, as a forked child inherits it,
+    # is not this process's: its thread does not exist here, so each
+    # starts a new one
+    stale = queue.SimpleQueue()
+    monkeypatch.setattr(lanes, "_worker", (os.getpid() + 1, stale))
+    ran = []
+    lanes.each(_on_worker(lambda: ran.append(threading.current_thread())),
+               ["first", "second"])
+    assert lanes._worker[0] == os.getpid() and lanes._worker[1] is not stale
+    assert ran[0].name == "gfrma-lane" and stale.empty()
+
+
 def test_each_runs_the_second_part_here_if_the_worker_is_busy():
     # a job that holds the worker until released: each must not wait for
     # it, and runs both parts on the calling thread
