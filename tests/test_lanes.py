@@ -224,6 +224,35 @@ def test_each_runs_the_second_part_here_if_the_worker_is_busy():
     assert held.get(timeout=30) is None
 
 
+def test_each_runs_every_part_once_under_contention():
+    # more calling threads than CPUs, switching as often as the interpreter
+    # allows: each part runs exactly once, whoever takes its claim
+    runs = collections.Counter()
+    lock = threading.Lock()
+
+    def part(key):
+        with lock:
+            runs[key] += 1
+
+    def caller(t):
+        for i in range(300):
+            lanes.each(part, [(t, i, 0), (t, i, 1)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(t,))
+                   for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(runs) == 4 * 300 * 2 and set(runs.values()) == {1}
+
+
 def test_each_raises_the_workers_exception_here():
     def fail():
         raise RuntimeError("lane failed")
