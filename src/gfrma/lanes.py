@@ -13,9 +13,9 @@ process may run on two CPUs, and it is no multiprocessing child: the
 workers of monte_carlo's pool already fill the CPUs. The worker is a daemon
 thread started on first use in each process, so a child forked after it
 started makes its own. A part the worker has not started by the time the
-calling thread is done with its own runs on the calling thread, so a busy
-host costs at most the one-lane time and a worker that never runs cannot
-hang the caller.
+calling thread is done with its own runs on the calling thread, so on a
+busy host a two-part call costs about what the one-lane path does, and a
+worker that never runs cannot hang the caller.
 """
 from __future__ import annotations
 
