@@ -332,10 +332,12 @@ _EDGE_VALUES = np.array([0.0, -0.0, 1e-310, -1e-310, 5e-324, -5e-324,
 @pytest.mark.parametrize("shape", [(), (3,), (2, 4)],
                          ids=["1d", "batch3", "batch2x4"])
 def test_check_messages_matches_counting_form(shape):
-    # check degrees 2-20: from 9 on, the log sum takes numpy's pairwise
-    # branch
+    # check degrees 2-20, then long checks on both sides of the degrees
+    # where the log sum leaves its running sum (9) and numpy's pairwise
+    # summation splits its operand (129 terms after the first)
     rng = np.random.default_rng(21)
-    deg = rng.integers(2, 21, 40)
+    deg = np.concatenate([rng.integers(2, 21, 40),
+                          [8, 9, 16, 17, 128, 129, 130, 300]])
     n_edges = int(deg.sum())
     ptr = np.concatenate([[0], np.cumsum(deg[:-1])])
     # variable e is check-order edge e, so edge_var takes a check-order
