@@ -95,7 +95,6 @@ class AccessGraph:
     """
 
     K: int
-    N: int
     T: int
     edge_user: np.ndarray
     edge_sym: np.ndarray   # within-user symbol index, 0..N-1
@@ -120,7 +119,7 @@ class AccessGraph:
         """The subgraph of the edges of the users where the bool mask
         `users` is True, in their order here."""
         keep = users[self.edge_user]
-        return AccessGraph(self.K, self.N, self.T, self.edge_user[keep],
+        return AccessGraph(self.K, self.T, self.edge_user[keep],
                            self.edge_sym[keep], self.edge_re[keep])
 
     @cached_property
@@ -210,7 +209,7 @@ def build_access_graph(cfg: SystemConfig) -> AccessGraph:
                          cfg.T, cfg.racf, cfg.N)
              for k in range(0, cfg.K, step)]
     users, syms, res = (np.concatenate(col) for col in zip(*parts))
-    return AccessGraph(cfg.K, cfg.N, cfg.T, users, syms, res)
+    return AccessGraph(cfg.K, cfg.T, users, syms, res)
 
 
 def dump_graph(graph: AccessGraph, path):

@@ -50,7 +50,7 @@ def test_subset_uniformity():
     g = P.build_access_graph(small_cfg(K=1, T=n, system_seed=5, m=4,
                                        code_rate=0.5,
                                        racf=(0.0, 1.0)))
-    assert g.N == N and g.n_edges == n
+    assert g.n_edges == n
     counts = np.bincount(g.edge_sym, minlength=N)
     expected = n / N
     assert np.all(np.abs(counts - expected) < 5 * np.sqrt(expected))
