@@ -168,9 +168,11 @@ def run_fresh(code):
 def test_simulator_never_loads_scipy(tmp_path):
     # numpy is the one runtime dependency: with scipy blocked, so that
     # importing it raises ImportError, the sweep, then DE (a threshold
-    # search and a 1-point attach_de), the de and sweep --with-de commands
-    # and the DE demo run, and none of them loads numpy.ma
+    # search and a 1-point attach_de), every command (sim, graph-dump, de
+    # and sweep --with-de) and the DE demo run, and none of them loads
+    # numpy.ma
     out = str(tmp_path / "out.csv")
+    graph = str(tmp_path / "graph.txt")
     demo = str(ROOT / "demos" / "de_threshold.py")
     code = (
         "import runpy, sys\n"
@@ -182,6 +184,8 @@ def test_simulator_never_loads_scipy(tmp_path):
         "de.threshold_search(harness.DESK_CONFIG,\n"
         "    harness.expected_active_gains(harness.DESK_CONFIG))\n"
         "harness.attach_de(result, spec)\n"
+        "assert cli.main(['sim', '--snr-db', '-5', '--trials', '1']) == 0\n"
+        f"assert cli.main(['graph-dump', '--out', {graph!r}]) == 0\n"
         f"assert cli.main(['de', '--snr-db=-7,-6', '--out', {out!r}]) == 0\n"
         "assert cli.main(['sweep', '--snr-db', '-5', '--trials', '2',\n"
         f"                 '--with-de', '--out', {out!r}]) == 0\n"
