@@ -216,12 +216,13 @@ def check_messages(v2c, lay: EdgeLayout, out=None):
     Magnitudes are summed in the log domain, each check's log sum equal to
     a reduceat over its edges bit for bit (_segment_sum): up to degree 8 a
     running sum slot by slot over contiguous (n_d, ...) blocks, beyond by
-    np.add.reduceat over a copy holding each check's slots together. Signs are sign bits: an edge's outgoing sign is the parity
-    of the others' sign bits, the XOR of its own with its check's, applied
-    as +/-1.0, which is exact. An input with |tanh| < 1e-300 counts as a
-    zero: it takes log 1 = 0 and sign +1, and every other edge of its check
-    gets magnitude 0, by a per-check zero count and one multiply by a mask
-    per class that run only when the batch holds a zero.
+    np.add.reduceat over a copy holding each check's slots together. Signs
+    are sign bits: an edge's outgoing sign is the parity of the others'
+    sign bits, the XOR of its own with its check's, applied as +/-1.0,
+    which is exact. An input with |tanh| < 1e-300 counts as a zero: it
+    takes log 1 = 0 and sign +1, and every other edge of its check gets
+    magnitude 0, by a per-check zero count and one multiply by a mask per
+    class that run only when the batch holds a zero.
 
     A large batch (lanes.two_lanes) is updated in two runs of check-degree
     classes at once (EdgeLayout.halves), the second on the lanes module's
